@@ -1,10 +1,8 @@
 package tripoll
 
 import (
-	"tripoll/internal/algos"
 	"tripoll/internal/core"
 	"tripoll/internal/graph"
-	"tripoll/internal/serialize"
 )
 
 // --- Directed-input support (§4: two-bit original directionality) -------
@@ -48,14 +46,6 @@ func AddArc[VM, EM any](b *GraphBuilder[VM, DirectedMeta[EM]], r *Rank, u, v uin
 // transitive, reciprocal-containing, or undirected-containing.
 type DirectedCensus = core.DirectedCensus
 
-// SurveyDirectedCensus runs the directed-motif census.
-//
-// Deprecated: use Run with DirectedCensusAnalysis, which fuses with other
-// analyses in one traversal.
-func SurveyDirectedCensus[VM, EM any](g *Graph[VM, DirectedMeta[EM]], opts SurveyOptions) (DirectedCensus, Result) {
-	return core.SurveyDirectedCensus(g, opts)
-}
-
 // --- Labeled triangle index ([45]) ---------------------------------------
 
 // LabelIndexKey is one (edge, closing-vertex-label) bucket.
@@ -63,66 +53,6 @@ type LabelIndexKey[VM comparable] = core.LabelIndexKey[VM]
 
 // LabelIndex maps (edge, label) buckets to triangle counts.
 type LabelIndex[VM comparable] = core.LabelIndex[VM]
-
-// BuildLabelIndex surveys the graph once into a labeled triangle index:
-// per-edge counts of triangles closing with each vertex label, the
-// pattern-matching acceleration structure of Reza et al. [45]. labelCodec
-// is unused now that accumulation is rank-local; the parameter is retained
-// for source compatibility.
-//
-// Deprecated: use Run with LabelIndexAnalysis, which fuses with other
-// analyses in one traversal and needs no codec.
-func BuildLabelIndex[VM comparable, EM any](g *Graph[VM, EM], opts SurveyOptions, labelCodec serialize.Codec[VM]) (LabelIndex[VM], Result) {
-	return core.BuildLabelIndex(g, opts, labelCodec)
-}
-
-// --- Distributed graph algorithms on the same substrate ------------------
-
-// AdjGraph is a distributed full-adjacency graph for traversal algorithms
-// (the DODGr keeps only <+-oriented out-edges).
-type AdjGraph = algos.AdjGraph
-
-// AdjBuilder ingests undirected edges into an AdjGraph.
-type AdjBuilder = algos.AdjBuilder
-
-// NewAdjBuilder creates a traversal-graph builder (outside regions).
-var NewAdjBuilder = algos.NewAdjBuilder
-
-// BFS, ConnectedComponents and PageRank are distributed algorithms over
-// an AdjGraph; construct outside parallel regions, Run anywhere.
-type (
-	BFS                 = algos.BFS
-	ConnectedComponents = algos.ConnectedComponents
-	PageRank            = algos.PageRank
-)
-
-// Algorithm constructors.
-var (
-	NewBFS                 = algos.NewBFS
-	NewConnectedComponents = algos.NewConnectedComponents
-	NewPageRank            = algos.NewPageRank
-)
-
-// --- Temporal windows ([40]-style δ-motifs) -------------------------------
-
-// TemporalWindowCount counts triangles whose edge timestamps span at most
-// delta.
-//
-// Deprecated: use Run with TemporalWindowAnalysis (or, to also prune the
-// communication, a plan with CloseWithin).
-func TemporalWindowCount[VM any](g *Graph[VM, uint64], delta uint64, opts SurveyOptions) (within, total uint64, res Result) {
-	return core.TemporalWindowCount(g, delta, opts)
-}
-
-// TemporalWindowSweep evaluates several windows in one fused survey pass —
-// a single traversal covering every delta, whose phase stats the returned
-// Result reports.
-//
-// Deprecated: use Run with TemporalSweepAnalysis, which additionally fuses
-// with other analyses.
-func TemporalWindowSweep[VM any](g *Graph[VM, uint64], deltas []uint64, opts SurveyOptions) (map[uint64]uint64, Result) {
-	return core.TemporalWindowSweep(g, deltas, opts)
-}
 
 // --- Snapshots -------------------------------------------------------------
 
@@ -134,21 +64,4 @@ func SaveGraph[VM, EM any](g *Graph[VM, EM], dir string) error { return g.Save(d
 // LoadGraph restores a snapshot written by SaveGraph.
 func LoadGraph[VM, EM any](w *World, dir string, vm Codec[VM], em Codec[EM]) (*Graph[VM, EM], error) {
 	return graph.Load(w, dir, vm, em)
-}
-
-// BuildAdj is a convenience constructor distributing the given undirected
-// edges across ranks into an AdjGraph.
-func BuildAdj(w *World, edges [][2]uint64) *AdjGraph {
-	b := NewAdjBuilder(w)
-	var g *AdjGraph
-	w.Parallel(func(r *Rank) {
-		for i := r.ID(); i < len(edges); i += r.Size() {
-			b.AddEdge(r, edges[i][0], edges[i][1])
-		}
-		gg := b.Build(r)
-		if r.ID() == 0 {
-			g = gg
-		}
-	})
-	return g
 }

@@ -1,7 +1,6 @@
 package tripoll_test
 
 import (
-	"math"
 	"testing"
 
 	"tripoll"
@@ -33,7 +32,8 @@ func TestPublicDirectedCensus(t *testing.T) {
 			g = gg
 		}
 	})
-	census, res := tripoll.SurveyDirectedCensus(g, tripoll.SurveyOptions{})
+	var census tripoll.DirectedCensus
+	res := mustRun(t, g, tripoll.SurveyOptions{}, nil, tripoll.DirectedCensusAnalysis[tripoll.Unit, tripoll.Unit]().Bind(&census))
 	if res.Triangles != 2 || census.Cyclic != 1 || census.Transitive != 1 {
 		t.Errorf("census = %+v (triangles %d)", census, res.Triangles)
 	}
@@ -64,7 +64,8 @@ func TestPublicLabelIndex(t *testing.T) {
 			g = gg
 		}
 	})
-	ix, res := tripoll.BuildLabelIndex(g, tripoll.SurveyOptions{}, tripoll.StringCodec())
+	var ix tripoll.LabelIndex[string]
+	res := mustRun(t, g, tripoll.SurveyOptions{}, nil, tripoll.LabelIndexAnalysis[string, tripoll.Unit]().Bind(&ix))
 	if res.Triangles != 1 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}
@@ -73,36 +74,12 @@ func TestPublicLabelIndex(t *testing.T) {
 	}
 }
 
-func TestPublicAlgos(t *testing.T) {
-	w := tripoll.NewWorld(4)
-	defer w.Close()
-	edges := datagen.WattsStrogatz(500, 3, 0.05, 2)
-	g := tripoll.BuildAdj(w, edges)
-
-	depths := tripoll.NewBFS(g).Run(edges[0][0])
-	if len(depths) < 400 {
-		t.Errorf("BFS reached only %d vertices", len(depths))
-	}
-	comp := tripoll.NewConnectedComponents(g).Run()
-	if len(comp) == 0 {
-		t.Fatal("no components")
-	}
-	pr := tripoll.NewPageRank(g).Run(20, 0.85)
-	var sum float64
-	for _, r := range pr {
-		sum += r
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Errorf("PageRank sums to %v", sum)
-	}
-}
-
 func TestPublicSnapshotRoundTrip(t *testing.T) {
 	w := tripoll.NewWorld(3)
 	defer w.Close()
 	edges := datagen.BarabasiAlbert(800, 5, 13)
 	g := tripoll.BuildSimple(w, edges)
-	before := tripoll.Count(g, tripoll.SurveyOptions{})
+	before := mustRun(t, g, tripoll.SurveyOptions{}, nil)
 
 	dir := t.TempDir() + "/snap"
 	if err := tripoll.SaveGraph(g, dir); err != nil {
@@ -112,7 +89,7 @@ func TestPublicSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := tripoll.Count(g2, tripoll.SurveyOptions{})
+	after := mustRun(t, g2, tripoll.SurveyOptions{}, nil)
 	if after.Triangles != before.Triangles {
 		t.Errorf("count after reload = %d, want %d", after.Triangles, before.Triangles)
 	}
@@ -127,12 +104,14 @@ func TestPublicTemporalWindows(t *testing.T) {
 	g := tripoll.BuildTemporal(w, []tripoll.TemporalEdge{
 		{U: 0, V: 1, Time: 10}, {U: 1, V: 2, Time: 20}, {U: 0, V: 2, Time: 30},
 	})
-	within, total, _ := tripoll.TemporalWindowCount(g, 20, tripoll.SurveyOptions{})
-	if total != 1 || within != 1 {
-		t.Errorf("window 20: within=%d total=%d", within, total)
+	var within uint64
+	res := mustRun(t, g, tripoll.SurveyOptions{}, nil, tripoll.TemporalWindowAnalysis[tripoll.Unit](20).Bind(&within))
+	if res.Triangles != 1 || within != 1 {
+		t.Errorf("window 20: within=%d total=%d", within, res.Triangles)
 	}
-	counts, _ := tripoll.TemporalWindowSweep(g, []uint64{5, 25}, tripoll.SurveyOptions{})
-	if counts[5] != 0 || counts[25] != 1 {
+	var counts []uint64 // indexed like the deltas {5, 25}
+	mustRun(t, g, tripoll.SurveyOptions{}, nil, tripoll.TemporalSweepAnalysis[tripoll.Unit]([]uint64{5, 25}).Bind(&counts))
+	if counts[0] != 0 || counts[1] != 1 {
 		t.Errorf("sweep = %v", counts)
 	}
 }
@@ -144,7 +123,7 @@ func TestPublicGroupedWorld(t *testing.T) {
 	}
 	defer w.Close()
 	g := tripoll.BuildSimple(w, datagen.Complete(8))
-	if res := tripoll.Count(g, tripoll.SurveyOptions{}); res.Triangles != 56 {
+	if res := mustRun(t, g, tripoll.SurveyOptions{}, nil); res.Triangles != 56 {
 		t.Errorf("grouped-world count = %d, want 56", res.Triangles)
 	}
 }

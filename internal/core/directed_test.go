@@ -34,7 +34,8 @@ func buildDirected(t testing.TB, nranks int, arcs [][2]uint64) (*ygm.World, *gra
 func TestDirectedCensusCycle(t *testing.T) {
 	w, g := buildDirected(t, 2, [][2]uint64{{0, 1}, {1, 2}, {2, 0}})
 	defer w.Close()
-	c, res := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	res := runT(t, g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
 	if res.Triangles != 1 || c.Cyclic != 1 || c.Total() != 1 {
 		t.Errorf("cycle census = %+v (triangles %d)", c, res.Triangles)
 	}
@@ -51,7 +52,8 @@ func TestDirectedCensusTransitiveTournament(t *testing.T) {
 	}
 	w, g := buildDirected(t, 3, arcs)
 	defer w.Close()
-	c, res := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	res := runT(t, g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
 	if res.Triangles != 10 || c.Transitive != 10 || c.Cyclic != 0 {
 		t.Errorf("tournament census = %+v (triangles %d)", c, res.Triangles)
 	}
@@ -61,7 +63,8 @@ func TestDirectedCensusReciprocal(t *testing.T) {
 	// Triangle with one bidirectional edge.
 	w, g := buildDirected(t, 2, [][2]uint64{{0, 1}, {1, 0}, {1, 2}, {2, 0}})
 	defer w.Close()
-	c, _ := SurveyDirectedCensus(g, Options{})
+	var c DirectedCensus
+	runT(t, g, Options{}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
 	if c.Reciprocal != 1 || c.Total() != 1 {
 		t.Errorf("reciprocal census = %+v", c)
 	}
@@ -92,7 +95,8 @@ func TestDirectedCensusRandomTournamentInvariant(t *testing.T) {
 	}
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildDirected(t, 4, arcs)
-		c, res := SurveyDirectedCensus(g, Options{Mode: mode})
+		var c DirectedCensus
+		res := runT(t, g, Options{Mode: mode}, nil, DirectedCensusAnalysis[serialize.Unit, serialize.Unit]().Bind(&c))
 		if res.Triangles != total {
 			t.Errorf("mode %v: triangles = %d, want %d", mode, res.Triangles, total)
 		}

@@ -22,14 +22,16 @@
 // exactly. DESIGN.md §7 locates each predicate class's check; the
 // `pushdown` experiment measures the savings.
 //
-// Beyond the engine (survey.go, plan.go), the package bundles the stock
-// surveys of §5 (analytics.go, temporal.go, windowed.go, edgecounts.go,
-// labelindex.go): counting, clustering coefficients, closure times,
-// label distributions and their plan-restricted variants.
+// The dry run, push and pull live once, in kernel.go; Survey (survey.go)
+// and Stream (stream.go) are two views over that kernel. Beyond them the
+// package bundles the stock analyses of §5 (analytics.go, temporal.go,
+// edgecounts.go, labelindex.go, directed.go): counting, clustering
+// coefficients, closure times and label distributions, each run through
+// Run with an optional plan.
 //
 // Stream (stream.go, stream_analyses.go) maintains fused analyses
-// incrementally over timestamped edge batches: each batch runs a
-// delta-scoped dry run/push/pull over only the changed edges, observing
+// incrementally over timestamped edge batches: each batch runs the kernel
+// over only the changed edges, observing
 // created triangles and reversing destroyed ones through invertible
 // accumulators (with a windowed epoch-rebuild fallback), byte-identical
 // after every batch to a from-scratch Run on the live edge set.

@@ -43,7 +43,8 @@ func TestLabelIndexSmall(t *testing.T) {
 	// Bowtie: triangles (0,1,2) and (2,3,4); labels are id%3.
 	w, g := buildLabeled(t, 2, bowtie)
 	defer w.Close()
-	ix, res := BuildLabelIndex(g, Options{}, serialize.Uint64Codec())
+	var ix LabelIndex[uint64]
+	res := runT(t, g, Options{}, nil, LabelIndexAnalysis[uint64, serialize.Unit]().Bind(&ix))
 	if res.Triangles != 2 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}
@@ -82,7 +83,8 @@ func TestLabelIndexMatchesSerial(t *testing.T) {
 	}
 	for _, mode := range []Mode{PushOnly, PushPull} {
 		w, g := buildLabeled(t, 3, edges)
-		ix, _ := BuildLabelIndex(g, Options{Mode: mode}, serialize.Uint64Codec())
+		var ix LabelIndex[uint64]
+		runT(t, g, Options{Mode: mode}, nil, LabelIndexAnalysis[uint64, serialize.Unit]().Bind(&ix))
 		if len(ix) != len(want) {
 			t.Fatalf("mode %v: %d buckets, want %d", mode, len(ix), len(want))
 		}
@@ -116,7 +118,8 @@ func TestLabelIndexStringLabels(t *testing.T) {
 			g = gg
 		}
 	})
-	ix, res := BuildLabelIndex(g, Options{}, serialize.StringCodec())
+	var ix LabelIndex[string]
+	res := runT(t, g, Options{}, nil, LabelIndexAnalysis[string, serialize.Unit]().Bind(&ix))
 	if res.Triangles != 4 {
 		t.Fatalf("triangles = %d", res.Triangles)
 	}

@@ -244,7 +244,8 @@ func TestWindowedClosureTimesByteIdentical(t *testing.T) {
 		})
 
 		plan := TemporalPlan().CloseWithin(1 << 10)
-		joint, res, err := WindowedClosureTimes(g, plan, Options{Mode: mode})
+		var joint *stats.Joint2D
+		res, err := Run(g, Options{Mode: mode}, plan, ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -302,11 +303,13 @@ func TestWindowedMaxEdgeLabelEquivalence(t *testing.T) {
 	keep := func(em uint64) bool { return em%5 != 0 }
 	plan := NewPlan[uint64]().WhereEdge(keep)
 
-	got, res, err := WindowedMaxEdgeLabelDistribution(g, plan, Options{})
+	var got map[uint64]uint64
+	res, err := Run(g, Options{}, plan, MaxEdgeLabelAnalysis[uint64](true).Bind(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := MaxEdgeLabelDistribution(g, Options{})
+	var want map[uint64]uint64
+	runT(t, g, Options{}, nil, MaxEdgeLabelAnalysis[uint64](true).Bind(&want))
 	// Rebuild the expectation by re-surveying with a post-filter callback.
 	refCounter := map[uint64]uint64{}
 	per := make([]map[uint64]uint64, 3)

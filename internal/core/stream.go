@@ -17,24 +17,15 @@ import (
 // correct over the live edge set, without re-surveying the whole graph per
 // batch. The key observation is delta locality: a batch changes exactly the
 // triangles that contain a changed edge, and the triangles containing edge
-// {u, v} are the common neighborhood N(u) ∩ N(v) — so each batch runs a
-// *delta-scoped* version of the paper's machinery in which the only wedge
-// sources are the changed edges:
-//
-//   - dry run: for each new (or expiring) edge {lo, hi} the initiator
-//     Rank(lo) proposes |N(lo)| to Rank(hi), which grants a pull when
-//     |N(hi)| · PullFactor < |N(lo)| — the §4.4 negotiation verbatim, at
-//     delta scope (Push-Only skips it, exactly like the full survey);
-//   - push: Rank(lo) ships N(lo) to Rank(hi), which merge-path intersects
-//     it against N(hi); pull reverses the shipping direction. Plan filters
-//     prune candidates before they are encoded and pull replies before
-//     they are sent, reusing the PR 2 predicate-pushdown discipline, and
-//     the full plan predicate is re-checked before any accumulator sees a
-//     triangle;
-//   - every identified triangle is dispatched to every attached analysis
-//     with a sign: Observe for triangles a batch creates, Unobserve for
-//     triangles an expiry destroys — the PR 3 rank-local accumulator
-//     discipline, extended from a monoid to a group.
+// {u, v} are the common neighborhood N(u) ∩ N(v) — so each batch runs the
+// traversal kernel (kernel.go) over a delta view whose only wedge sources
+// are the changed edges: for a changed edge {a, b} the initiator a ships
+// its live neighborhood N(a) to Rank(b) for intersection against N(b), or
+// pulls N(b) when the §4.4 negotiation grants it. Plan filters prune
+// candidates and pull replies as in the full survey, and every identified
+// triangle is dispatched to every attached analysis with a sign: Observe
+// for triangles a batch creates, Unobserve for triangles an expiry
+// destroys.
 //
 // A triangle whose batch changed several of its edges must be counted once,
 // not once per changed edge: each candidate carries an "in the current
@@ -104,10 +95,9 @@ const (
 	travExpire
 )
 
-// deltaEdge is one changed edge as the traversal sees it: a is the
-// initiating endpoint (the one whose neighborhood ships, stored on the
-// recording rank), b the partner. The dedup identity of the edge is its
-// canonical edgeKey, independent of direction.
+// deltaEdge is one edge created by an Ingest batch, awaiting the direction
+// round: a is the recording endpoint (stored on the recording rank), b the
+// partner.
 type deltaEdge struct{ a, b uint64 }
 
 // edgeKey is the canonical (min, max) name of an undirected edge — the
@@ -150,6 +140,7 @@ type Stream[VM, EM any] struct {
 
 	shards []*graph.StreamShard[VM, EM]
 	state  []streamState[VM, EM]
+	k      kernel
 
 	epoch         uint32
 	cutoff        uint64
@@ -170,33 +161,25 @@ type Stream[VM, EM any] struct {
 	scratchMerged []graph.Edge[EM]
 	scratchHalves []uint64
 
-	hRoute, hComplete, hFinish       ygm.HandlerID
-	hDirect, hAssign                 ygm.HandlerID
-	hPropose, hDecline, hPush, hPull ygm.HandlerID
+	hRoute, hComplete, hFinish ygm.HandlerID
+	hDirect, hAssign           ygm.HandlerID
+	hPush, hPull               ygm.HandlerID
 }
 
-// streamState is one rank's working state for the current batch.
+// streamState is one rank's working state for the current batch; the
+// traversal's own state lives in the kernel.
 type streamState[VM, EM any] struct {
-	pending   []deltaEdge        // created edges awaiting the direction round
-	delta     []deltaEdge        // changed edges this rank initiates
-	targVol   map[uint64]uint64  // dry run: target vertex → proposed volume
-	parked    map[uint64][]int32 // target vertex → delta indices awaiting pull
-	declined  map[uint64]bool    // target vertex → owner declined the pull
-	grants    map[uint64][]int32 // local target vertex → granted source ranks
-	numGrants uint64
+	pending []deltaEdge // created edges awaiting the direction round
+	// delta holds the changed edges this rank initiates — the kernel's
+	// wedge sources: the initiator's local index and the partner's
+	// adjacency position (stable from the direction round to the end of
+	// the traversal: nothing inserts or compacts in between).
+	delta []reqRef
 
 	changed bool
 	merged  uint64
 
-	triangles   uint64
-	wedgeChecks uint64
-
-	prunedBatches uint64
-	prunedCands   uint64
-	prunedPull    uint64
-
 	scratchTri  Triangle[VM, EM]
-	scratchKeep []int32
 	scratchPull []streamPullEntry[VM, EM]
 	pullBits    idBitset // dense-reply index reused across onPull messages
 }
@@ -217,9 +200,6 @@ func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan
 		return nil, err
 	}
 	w := g.World()
-	if !(opts.Survey.PullFactor > 0) {
-		opts.Survey.PullFactor = 1.0 // same clamp as NewSurvey
-	}
 	s := &Stream[VM, EM]{
 		g: g, w: w, opts: opts, plan: plan,
 		filters: plan.compile(),
@@ -407,7 +387,7 @@ func (s *Stream[VM, EM]) registerHandlers() {
 		if !ok {
 			panic("core: stream finish for vertex not stored at its owner")
 		}
-		sh.Find(vi, v).TMeta = metaV
+		sh.Verts[vi].Adj[sh.Find(vi, v)].TMeta = metaV
 	})
 	// Direction round: once a batch's insertions have settled (degrees are
 	// final), each created edge picks its delta initiator toward the
@@ -430,8 +410,7 @@ func (s *Stream[VM, EM]) registerHandlers() {
 		}
 		degU := uint64(sh.LiveDeg(vi))
 		if degU < degV || (degU == degV && u < v) {
-			sh.Find(vi, v).Init = true
-			st.delta = append(st.delta, deltaEdge{a: u, b: v})
+			s.initiate(st, sh, vi, v)
 			return
 		}
 		e := r.Begin(s.owner(v), s.hAssign)
@@ -446,15 +425,19 @@ func (s *Stream[VM, EM]) registerHandlers() {
 			panic("core: corrupt stream assign message: " + d.Err().Error())
 		}
 		sh := s.shards[r.ID()]
-		st := &s.state[r.ID()]
-		vi := sh.Index[v]
-		sh.Find(vi, u).Init = true
-		st.delta = append(st.delta, deltaEdge{a: v, b: u})
+		s.initiate(&s.state[r.ID()], sh, sh.Index[v], u)
 	})
-	s.hPropose = s.w.RegisterHandler(s.onPropose)
-	s.hDecline = s.w.RegisterHandler(s.onDecline)
+	s.k.init(s.w, s.g.Owner, s.opts.Survey, s)
 	s.hPush = s.w.RegisterHandler(s.onPush)
 	s.hPull = s.w.RegisterHandler(s.onPull)
+}
+
+// initiate marks local vertex vi as the initiator of its created edge to
+// nbr and records the edge as a wedge source of this batch.
+func (s *Stream[VM, EM]) initiate(st *streamState[VM, EM], sh *graph.StreamShard[VM, EM], vi int32, nbr uint64) {
+	j := sh.Find(vi, nbr)
+	sh.Verts[vi].Adj[j].Init = true
+	st.delta = append(st.delta, reqRef{vert: vi, pos: int32(j)})
 }
 
 // seedFrom populates the shards with g's edges (symmetrizing the
@@ -527,27 +510,20 @@ func (s *Stream[VM, EM]) fullObserveCallback() Callback[VM, EM] {
 		return nil
 	}
 	return func(r *ygm.Rank, t *Triangle[VM, EM]) {
-		u := &s.state[r.ID()].scratchTri
-		fillIDSorted(u, t.P, t.MetaP, t.Q, t.MetaQ, t.R, t.MetaR, t.MetaPQ, t.MetaPR, t.MetaQR)
-		for _, a := range s.analyses {
-			a.observeSigned(r, u, 1)
-		}
-		for _, sk := range s.sinks {
-			sk.SinkTriangle(r, u, 1)
-		}
+		s.dispatch(r, 1, t.P, t.MetaP, t.Q, t.MetaQ, t.R, t.MetaR, t.MetaPQ, t.MetaPR, t.MetaQR)
 	}
 }
 
-// dispatch hands one delta triangle {u, v, w} (any vertex order; emXY is
-// the metadata of edge {x, y}) to every analysis with the batch's sign.
-func (s *Stream[VM, EM]) dispatch(r *ygm.Rank, u uint64, mu VM, v uint64, mv VM, w uint64, mw VM, emUV, emUW, emVW EM) {
+// dispatch hands one triangle {u, v, w} (any vertex order; emXY is the
+// metadata of edge {x, y}) to every analysis and sink with the given sign.
+func (s *Stream[VM, EM]) dispatch(r *ygm.Rank, sign int, u uint64, mu VM, v uint64, mv VM, w uint64, mw VM, emUV, emUW, emVW EM) {
 	t := &s.state[r.ID()].scratchTri
 	fillIDSorted(t, u, mu, v, mv, w, mw, emUV, emUW, emVW)
 	for _, a := range s.analyses {
-		a.observeSigned(r, t, s.sign)
+		a.observeSigned(r, t, sign)
 	}
 	for _, sk := range s.sinks {
-		sk.SinkTriangle(r, t, s.sign)
+		sk.SinkTriangle(r, t, sign)
 	}
 }
 
@@ -600,42 +576,9 @@ func (s *Stream[VM, EM]) resetBatch(sign int, trav travKind) {
 		st := &s.state[i]
 		st.pending = st.pending[:0]
 		st.delta = st.delta[:0]
-		if st.targVol == nil {
-			st.targVol = make(map[uint64]uint64)
-			st.parked = make(map[uint64][]int32)
-			st.declined = make(map[uint64]bool)
-			st.grants = make(map[uint64][]int32)
-		} else {
-			// Reuse the previous batch's maps: a long-lived stream resets
-			// these every batch, and the slices above already recycle.
-			clear(st.targVol)
-			clear(st.parked)
-			clear(st.declined)
-			clear(st.grants)
-		}
-		st.numGrants = 0
 		st.changed = false
 		st.merged = 0
-		st.triangles = 0
-		st.wedgeChecks = 0
-		st.prunedBatches = 0
-		st.prunedCands = 0
-		st.prunedPull = 0
 	}
-}
-
-// phase mirrors Survey.Run's per-phase accounting, accumulating (so the
-// Mutate phase can span several regions).
-func (s *Stream[VM, EM]) phase(prev *ygm.Stats, dst *PhaseStats, body func(r *ygm.Rank)) {
-	start := time.Now()
-	s.w.Parallel(body)
-	dst.Duration += time.Since(start)
-	now := s.w.Stats()
-	d := now.Sub(*prev)
-	*prev = now
-	dst.Bytes += d.BytesSent
-	dst.Messages += d.MessagesSent
-	dst.Batches += d.BatchesSent
 }
 
 // Ingest applies one batch of edge insertions and brings every attached
@@ -658,7 +601,7 @@ func (s *Stream[VM, EM]) Ingest(batch []graph.Edge[EM]) (Result, error) {
 	for _, sk := range s.sinks {
 		sk.SinkBatch(merged)
 	}
-	s.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
+	s.k.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
 		for i := r.ID(); i < len(merged); i += r.Size() {
 			e := r.Begin(s.owner(merged[i].U), s.hRoute)
 			e.PutUvarint(merged[i].U)
@@ -669,7 +612,7 @@ func (s *Stream[VM, EM]) Ingest(batch []graph.Edge[EM]) (Result, error) {
 	})
 	// Direction round: degrees are settled behind the phase barrier, so
 	// every created edge can pick its initiator by final batch degree.
-	s.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
+	s.k.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
 		sh := s.shards[r.ID()]
 		st := &s.state[r.ID()]
 		for _, p := range st.pending {
@@ -701,7 +644,7 @@ func (s *Stream[VM, EM]) Ingest(batch []graph.Edge[EM]) (Result, error) {
 			local = 1
 		}
 		var votes uint64
-		s.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
+		s.k.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
 			v := ygm.AllReduceSum(r, local)
 			if r.ID() == s.w.LeaderID() {
 				votes = v
@@ -715,7 +658,7 @@ func (s *Stream[VM, EM]) Ingest(batch []graph.Edge[EM]) (Result, error) {
 			return res, err
 		}
 	} else {
-		s.runDelta(&res, &prev)
+		s.k.run(&res, &prev)
 		s.triangles += res.Triangles
 	}
 	s.sinkCommit()
@@ -786,7 +729,7 @@ func (s *Stream[VM, EM]) Advance(cutoff uint64) (Result, error) {
 		// live: the delta set is every live edge below cutoff, recorded at
 		// the half that carries the initiator mark (so destroyed triangles
 		// ship the low-degree neighborhood, like insertions do).
-		s.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
+		s.k.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
 			sh := s.shards[r.ID()]
 			st := &s.state[r.ID()]
 			for vi := range sh.Verts {
@@ -797,18 +740,18 @@ func (s *Stream[VM, EM]) Advance(cutoff uint64) (Result, error) {
 						continue
 					}
 					if s.timeOf(c.EMeta) < cutoff {
-						st.delta = append(st.delta, deltaEdge{a: v.ID, b: c.Target})
+						st.delta = append(st.delta, reqRef{vert: int32(vi), pos: int32(j)})
 					}
 				}
 			}
 		})
-		s.runDelta(&res, &prev)
+		s.k.run(&res, &prev)
 	}
 	if s.scratchHalves == nil {
 		s.scratchHalves = make([]uint64, s.w.Size())
 	}
 	halves := s.scratchHalves
-	s.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
+	s.k.phase(&prev, &res.Mutate, func(r *ygm.Rank) {
 		sh := s.shards[r.ID()]
 		halves[r.ID()] = uint64(sh.ExpireBefore(s.timeOf, cutoff))
 		sh.MaybeCompact()
@@ -851,165 +794,64 @@ func (s *Stream[VM, EM]) baseResult() Result {
 	}
 }
 
-// runDelta executes the delta-scoped dry run/push/pull over the current
-// delta lists and folds the per-rank counters into res.
-func (s *Stream[VM, EM]) runDelta(res *Result, prev *ygm.Stats) {
-	if s.opts.Survey.Mode == PushPull {
-		s.phase(prev, &res.DryRun, s.dryRunPhase)
-	}
-	s.phase(prev, &res.Push, s.pushPhase)
-	if s.opts.Survey.Mode == PushPull {
-		s.phase(prev, &res.Pull, s.pullPhase)
-	}
-	for i := range s.state {
-		st := &s.state[i]
-		res.Triangles += st.triangles
-		res.PullsGranted += st.numGrants
-		res.WedgeChecks += st.wedgeChecks
-		res.PrunedBatches += st.prunedBatches
-		res.PrunedCandidates += st.prunedCands
-		res.PrunedPullEntries += st.prunedPull
-		if st.wedgeChecks > res.MaxRankWedgeChecks {
-			res.MaxRankWedgeChecks = st.wedgeChecks
+// --- The kernel's delta view -----------------------------------------------
+
+// dryRun parks every delta edge this rank initiates under its partner, with
+// the initiator's live candidate count as the proposed volume — the §4.4
+// negotiation at delta scope. Fully plan-pruned delta edges propose
+// nothing (their push cost is zero).
+func (s *Stream[VM, EM]) dryRun(r *ygm.Rank, k *kernelRank) {
+	sh := s.shards[r.ID()]
+	f := &s.filters
+	for _, ref := range s.state[r.ID()].delta {
+		v := &sh.Verts[ref.vert]
+		ent := &v.Adj[ref.pos]
+		n := candCount(v.Adj, ent.Target)
+		if f.active && !(f.edge(ent.EMeta) && anyLiveCand(f, ent.EMeta, v.Adj, ent.Target)) {
+			k.pruned(n)
+			continue
 		}
-	}
-	res.AvgPullsPerRank = float64(res.PullsGranted) / float64(s.w.Size())
-	if res.MaxRankWedgeChecks > 0 {
-		res.WorkBalance = float64(res.WedgeChecks) / (float64(s.w.Size()) * float64(res.MaxRankWedgeChecks))
+		k.park(ent.Target, uint64(n), ref)
 	}
 }
 
-// candCount counts live candidates of v's adjacency excluding the delta
-// partner hi.
-func candCount[VM, EM any](adj []graph.StreamEntry[VM, EM], hi uint64) int {
+// candCount counts live candidates of an adjacency excluding the delta
+// partner b.
+func candCount[VM, EM any](adj []graph.StreamEntry[VM, EM], b uint64) int {
 	n := 0
 	for i := range adj {
-		if !adj[i].Dead && adj[i].Target != hi {
+		if !adj[i].Dead && adj[i].Target != b {
 			n++
 		}
 	}
 	return n
 }
 
-// dryRunPhase mirrors the survey's §4.4 negotiation at delta scope: for
-// every delta edge the initiator proposes its live candidate volume to the
-// partner's owner, aggregated per target vertex. Fully plan-pruned delta
-// edges propose nothing (their push cost is zero).
-func (s *Stream[VM, EM]) dryRunPhase(r *ygm.Rank) {
+// anyLiveCand reports whether some live candidate of adj other than the
+// partner b survives f's candidate filter for a delta edge with metadata em.
+func anyLiveCand[VM, EM any](f *planFilters[EM], em EM, adj []graph.StreamEntry[VM, EM], b uint64) bool {
+	for i := range adj {
+		if c := &adj[i]; !c.Dead && c.Target != b && f.cand(em, c.EMeta) {
+			return true
+		}
+	}
+	return false
+}
+
+// push ships, for every delta edge whose partner pushes, the initiator's
+// live neighborhood (minus the partner, minus plan-filtered candidates) to
+// the partner's owner for intersection.
+func (s *Stream[VM, EM]) push(r *ygm.Rank, k *kernelRank) {
 	sh := s.shards[r.ID()]
-	st := &s.state[r.ID()]
 	f := &s.filters
-	for di := range st.delta {
-		de := st.delta[di]
-		vi := sh.Index[de.a]
-		v := &sh.Verts[vi]
-		ent := sh.Find(vi, de.b)
-		em := ent.EMeta
-		if f.active {
-			if !f.edge(em) {
-				st.prunedBatches++
-				st.prunedCands += uint64(candCount(v.Adj, de.b))
-				continue
-			}
-			alive := false
-			for j := range v.Adj {
-				c := &v.Adj[j]
-				if !c.Dead && c.Target != de.b && f.cand(em, c.EMeta) {
-					alive = true
-					break
-				}
-			}
-			if !alive {
-				st.prunedBatches++
-				st.prunedCands += uint64(candCount(v.Adj, de.b))
-				continue
-			}
-		}
-		vol := uint64(candCount(v.Adj, de.b))
-		if vol == 0 {
-			continue // no candidates, no triangles: nothing to negotiate
-		}
-		st.targVol[de.b] += vol
-		st.parked[de.b] = append(st.parked[de.b], int32(di))
-	}
-	for hi, vol := range st.targVol {
-		e := r.Begin(s.owner(hi), s.hPropose)
-		e.PutUvarint(hi)
-		e.PutUvarint(vol)
-		e.PutUvarint(uint64(r.ID()))
-		r.Commit(e)
-	}
-}
-
-// onPropose runs at the delta partner's owner: grant the pull when
-// shipping N(hi) once beats receiving the proposed volume. Under an
-// edge-level plan filter the pull cost is the filtered live adjacency.
-func (s *Stream[VM, EM]) onPropose(r *ygm.Rank, d *serialize.Decoder) {
-	hi := d.Uvarint()
-	vol := d.Uvarint()
-	src := int(d.Uvarint())
-	if d.Err() != nil {
-		panic("core: corrupt stream propose message: " + d.Err().Error())
-	}
-	sh := s.shards[r.ID()]
-	st := &s.state[r.ID()]
-	vi, ok := sh.Index[hi]
-	if !ok {
-		panic("core: stream propose for vertex not stored at its owner")
-	}
-	adjLen := sh.LiveDeg(vi)
-	if s.filters.hasEdge {
-		n := 0
-		adj := sh.Verts[vi].Adj
-		for j := range adj {
-			if !adj[j].Dead && s.filters.edge(adj[j].EMeta) {
-				n++
-			}
-		}
-		adjLen = n
-	}
-	if float64(adjLen)*s.opts.Survey.PullFactor < float64(vol) {
-		st.grants[hi] = append(st.grants[hi], int32(src))
-		st.numGrants++
-		return
-	}
-	e := r.Begin(src, s.hDecline)
-	e.PutUvarint(hi)
-	r.Commit(e)
-}
-
-func (s *Stream[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
-	hi := d.Uvarint()
-	if d.Err() != nil {
-		panic("core: corrupt stream decline message: " + d.Err().Error())
-	}
-	s.state[r.ID()].declined[hi] = true
-}
-
-// pushPhase ships, for every delta edge not granted a pull, the
-// initiator's live neighborhood (minus the partner, minus plan-filtered
-// candidates) to the partner's owner for intersection.
-func (s *Stream[VM, EM]) pushPhase(r *ygm.Rank) {
-	sh := s.shards[r.ID()]
-	st := &s.state[r.ID()]
-	f := &s.filters
-	pushPull := s.opts.Survey.Mode == PushPull
-	for di := range st.delta {
-		de := st.delta[di]
-		vi := sh.Index[de.a]
-		v := &sh.Verts[vi]
-		ent := sh.Find(vi, de.b)
-		em := ent.EMeta
+	for _, ref := range s.state[r.ID()].delta {
+		v := &sh.Verts[ref.vert]
+		a, b, em := v.ID, v.Adj[ref.pos].Target, v.Adj[ref.pos].EMeta
 		if f.active && !f.edge(em) {
-			// The dry run already accounted this fully-pruned delta edge in
-			// push-pull mode; count it here only when no dry run ran.
-			if !pushPull {
-				st.prunedBatches++
-				st.prunedCands += uint64(candCount(v.Adj, de.b))
-			}
+			k.pruned(candCount(v.Adj, b))
 			continue
 		}
-		if pushPull && !st.declined[de.b] {
+		if !k.pushes(b) {
 			continue // granted pull (or nothing proposed): pull covers it
 		}
 		// One predicate pass, then encode from the recorded survivors (the
@@ -1019,15 +861,15 @@ func (s *Stream[VM, EM]) pushPhase(r *ygm.Rank) {
 		// that edge, so shipping it could only waste bytes — for a batch
 		// whose edges are all new (a fresh stream's first batch) this skips
 		// about half of every neighborhood.
-		eKey := pairKey(de.a, de.b)
-		keep := st.scratchKeep[:0]
+		eKey := pairKey(a, b)
+		keep := k.scratchKeep[:0]
 		cands := 0
 		for j := range v.Adj {
 			c := &v.Adj[j]
-			if c.Dead || c.Target == de.b {
+			if c.Dead || c.Target == b {
 				continue
 			}
-			if s.inDelta(c) && keyLess(pairKey(de.a, c.Target), eKey) {
+			if s.inDelta(c) && keyLess(pairKey(a, c.Target), eKey) {
 				continue
 			}
 			cands++
@@ -1036,21 +878,18 @@ func (s *Stream[VM, EM]) pushPhase(r *ygm.Rank) {
 			}
 			keep = append(keep, int32(j))
 		}
-		st.scratchKeep = keep
+		k.scratchKeep = keep
 		if len(keep) == 0 {
-			if f.active && !pushPull && cands > 0 {
-				st.prunedBatches++
-				st.prunedCands += uint64(cands)
+			if cands > 0 {
+				k.pruned(cands) // only a plan empties a non-empty list
 			}
 			continue
 		}
-		if f.active {
-			st.prunedCands += uint64(cands - len(keep))
-		}
-		e := r.Begin(s.owner(de.b), s.hPush)
-		e.PutUvarint(de.a)
+		k.prunedCands += uint64(cands - len(keep))
+		e := r.Begin(s.owner(b), s.hPush)
+		e.PutUvarint(a)
 		s.vm.Encode(e, v.Meta)
-		e.PutUvarint(de.b)
+		e.PutUvarint(b)
 		s.em.Encode(e, em)
 		s.encodeCandidates(e, v.Adj, keep)
 		r.Commit(e)
@@ -1077,7 +916,7 @@ func (s *Stream[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 		panic("core: corrupt stream push header: " + d.Err().Error())
 	}
 	sh := s.shards[r.ID()]
-	st := &s.state[r.ID()]
+	k := &s.k.ranks[r.ID()]
 	vi, ok := sh.Index[b]
 	if !ok {
 		panic("core: stream push for vertex not stored at its owner")
@@ -1089,13 +928,13 @@ func (s *Stream[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 	if !cs.open(d, s.em, s.vm) {
 		panic("core: corrupt stream push candidates: " + cs.err.Error())
 	}
-	k := 0
+	j := 0
 	for cs.next() {
 		w := cs.id
-		k = gallopStreamID(adj, k, w)
-		st.wedgeChecks++
-		if k < len(adj) && adj[k].Target == w && !adj[k].Dead {
-			c := &adj[k]
+		j = gallopStreamID(adj, j, w)
+		k.wedgeChecks++
+		if j < len(adj) && adj[j].Target == w && !adj[j].Dead {
+			c := &adj[j]
 			if cs.fresh && keyLess(pairKey(a, w), eKey) {
 				continue // counted at delta edge {a, w}
 			}
@@ -1105,8 +944,8 @@ func (s *Stream[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 			if s.filters.active && !s.filters.tri(emAB, cs.emv, c.EMeta) {
 				continue
 			}
-			st.triangles++
-			s.dispatch(r, a, metaA, b, v.Meta, w, cs.tm, emAB, cs.emv, c.EMeta)
+			k.triangles++
+			s.dispatch(r, s.sign, a, metaA, b, v.Meta, w, cs.tm, emAB, cs.emv, c.EMeta)
 		}
 	}
 	if cs.err != nil {
@@ -1114,43 +953,57 @@ func (s *Stream[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 	}
 }
 
-// pullPhase ships each granted live neighborhood — once per granting
-// (vertex, source rank) pair, plan-filtered like the survey's — back to
-// the initiating rank, which completes every parked delta edge.
-func (s *Stream[VM, EM]) pullPhase(r *ygm.Rank) {
+// pullLen is the pull side's cost at the partner's owner: its live degree,
+// or under an edge-level plan filter the live entries that pass it.
+func (s *Stream[VM, EM]) pullLen(r *ygm.Rank, b uint64) (int32, int) {
 	sh := s.shards[r.ID()]
-	st := &s.state[r.ID()]
+	vi, ok := sh.Index[b]
+	if !ok {
+		panic("core: stream propose for vertex not stored at its owner")
+	}
+	if !s.filters.hasEdge {
+		return vi, sh.LiveDeg(vi)
+	}
+	n := 0
+	adj := sh.Verts[vi].Adj
+	for j := range adj {
+		if !adj[j].Dead && s.filters.edge(adj[j].EMeta) {
+			n++
+		}
+	}
+	return vi, n
+}
+
+// pull ships a granted live neighborhood — plan-filtered like the
+// survey's — to each granting source rank, which completes every parked
+// delta edge.
+func (s *Stream[VM, EM]) pull(r *ygm.Rank, k *kernelRank, vi int32, srcs []int32) {
 	f := &s.filters
-	for hi, srcs := range st.grants {
-		vi := sh.Index[hi]
-		v := &sh.Verts[vi]
-		keep := st.scratchKeep[:0]
-		total := 0
-		for j := range v.Adj {
-			c := &v.Adj[j]
-			if c.Dead {
-				continue
-			}
-			total++
-			if f.hasEdge && !f.edge(c.EMeta) {
-				continue
-			}
-			keep = append(keep, int32(j))
-		}
-		st.scratchKeep = keep
-		if f.hasEdge {
-			st.prunedPull += uint64((total - len(keep)) * len(srcs))
-		}
-		if len(keep) == 0 {
+	v := &s.shards[r.ID()].Verts[vi]
+	keep := k.scratchKeep[:0]
+	total := 0
+	for j := range v.Adj {
+		c := &v.Adj[j]
+		if c.Dead {
 			continue
 		}
-		for _, src := range srcs {
-			e := r.Begin(int(src), s.hPull)
-			e.PutUvarint(hi)
-			s.vm.Encode(e, v.Meta)
-			s.encodeCandidates(e, v.Adj, keep)
-			r.Commit(e)
+		total++
+		if f.hasEdge && !f.edge(c.EMeta) {
+			continue
 		}
+		keep = append(keep, int32(j))
+	}
+	k.scratchKeep = keep
+	k.prunedPull += uint64((total - len(keep)) * len(srcs))
+	if len(keep) == 0 {
+		return
+	}
+	for _, src := range srcs {
+		e := r.Begin(int(src), s.hPull)
+		e.PutUvarint(v.ID)
+		s.vm.Encode(e, v.Meta)
+		s.encodeCandidates(e, v.Adj, keep)
+		r.Commit(e)
 	}
 }
 
@@ -1161,12 +1014,13 @@ func (s *Stream[VM, EM]) pullPhase(r *ygm.Rank) {
 // membership + list index per candidate); sparse replies gallop like the
 // push side.
 func (s *Stream[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
-	hi := d.Uvarint()
-	metaHi := s.vm.Decode(d)
+	b := d.Uvarint()
+	metaB := s.vm.Decode(d)
 	if d.Err() != nil {
 		panic("core: corrupt stream pull header: " + d.Err().Error())
 	}
 	sh := s.shards[r.ID()]
+	k := &s.k.ranks[r.ID()]
 	st := &s.state[r.ID()]
 	var cs candScan[VM, EM]
 	if !cs.open(d, s.em, s.vm) {
@@ -1183,45 +1037,42 @@ func (s *Stream[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 
 	dense := buildPullBitset(&st.pullBits, pulled)
 	f := &s.filters
-	for _, di := range st.parked[hi] {
-		de := st.delta[di]
-		vi := sh.Index[de.a]
-		v := &sh.Verts[vi]
-		ent := sh.Find(vi, de.b)
-		emAB := ent.EMeta
-		eKey := pairKey(de.a, de.b)
-		k := 0
-		for j := range v.Adj {
-			c := &v.Adj[j]
-			if c.Dead || c.Target == de.b {
+	for _, ref := range k.parked[b] {
+		v := &sh.Verts[ref.vert]
+		a, emAB := v.ID, v.Adj[ref.pos].EMeta
+		eKey := pairKey(a, b)
+		j := 0
+		for i := range v.Adj {
+			c := &v.Adj[i]
+			if c.Dead || c.Target == b {
 				continue
 			}
 			if f.active && !f.cand(emAB, c.EMeta) {
-				st.prunedCands++
+				k.prunedCands++
 				continue
 			}
 			w := c.Target
-			st.wedgeChecks++
+			k.wedgeChecks++
 			var hit bool
 			if dense {
-				k, hit = st.pullBits.lookup(w)
+				j, hit = st.pullBits.lookup(w)
 			} else {
-				k = gallopStreamPullID(pulled, k, w)
-				hit = k < len(pulled) && pulled[k].id == w
+				j = gallopStreamPullID(pulled, j, w)
+				hit = j < len(pulled) && pulled[j].id == w
 			}
 			if hit {
-				p := &pulled[k]
-				if s.inDelta(c) && keyLess(pairKey(de.a, w), eKey) {
+				p := &pulled[j]
+				if s.inDelta(c) && keyLess(pairKey(a, w), eKey) {
 					continue
 				}
-				if p.fresh && keyLess(pairKey(hi, w), eKey) {
+				if p.fresh && keyLess(pairKey(b, w), eKey) {
 					continue
 				}
 				if f.active && !f.tri(emAB, c.EMeta, p.em) {
 					continue
 				}
-				st.triangles++
-				s.dispatch(r, de.a, v.Meta, hi, metaHi, w, c.TMeta, emAB, c.EMeta, p.em)
+				k.triangles++
+				s.dispatch(r, s.sign, a, v.Meta, b, metaB, w, c.TMeta, emAB, c.EMeta, p.em)
 			}
 		}
 	}
@@ -1277,28 +1128,15 @@ func (s *Stream[VM, EM]) rebuild(res *Result, prev *ygm.Stats) error {
 	}
 	t0 := time.Now()
 	g2 := s.Materialize()
-	now := s.w.Stats()
-	d := now.Sub(*prev)
-	res.Mutate.Duration += time.Since(t0)
-	res.Mutate.Bytes += d.BytesSent
-	res.Mutate.Messages += d.MessagesSent
-	res.Mutate.Batches += d.BatchesSent
+	s.k.account(prev, &res.Mutate, t0)
 	sv, err := NewPlannedSurvey(g2, s.opts.Survey, s.plan, s.fullObserveCallback())
 	if err != nil {
 		return err
 	}
 	r2 := sv.Run() // resets world stats; phases accounted inside
 	*prev = s.w.Stats()
-	res.DryRun, res.Push, res.Pull = r2.DryRun, r2.Push, r2.Pull
-	res.Triangles = r2.Triangles
-	res.WedgeChecks = r2.WedgeChecks
-	res.MaxRankWedgeChecks = r2.MaxRankWedgeChecks
-	res.WorkBalance = r2.WorkBalance
-	res.PullsGranted = r2.PullsGranted
-	res.AvgPullsPerRank = r2.AvgPullsPerRank
-	res.PrunedBatches = r2.PrunedBatches
-	res.PrunedCandidates = r2.PrunedCandidates
-	res.PrunedPullEntries = r2.PrunedPullEntries
+	r2.Analyses, r2.Delta, r2.DeltaEdges, r2.Rebuilt, r2.Mutate = res.Analyses, true, res.DeltaEdges, true, res.Mutate
+	*res = r2
 	s.triangles = r2.Triangles
 	return nil
 }

@@ -108,26 +108,19 @@ type Result struct {
 
 // Survey is a reusable triangle survey over one DODGr. Construct outside a
 // parallel region (handlers are registered); Run as many times as desired.
+// It is the kernel's full-traversal view: every ⟨p,q⟩ with q ∈ Adj⁺(p) is a
+// wedge source, the <+-suffix of Adj⁺ᵐ(p) after q is its candidate list,
+// and every triangle goes to the callback.
 type Survey[VM, EM any] struct {
 	g    *graph.DODGr[VM, EM]
 	w    *ygm.World
-	opts Options
 	cb   Callback[VM, EM]
 	plan planFilters[EM]
+	k    kernel
 
-	hPush    ygm.HandlerID
-	hPropose ygm.HandlerID
-	hDecline ygm.HandlerID
-	hPull    ygm.HandlerID
+	hPush, hPull ygm.HandlerID
 
-	state []rankState[VM, EM]
-}
-
-// reqRef locates a (p, q) wedge source on the requesting rank: the local
-// vertex index of p and the adjacency position of q within Adj⁺ᵐ(p).
-type reqRef struct {
-	vert int32
-	pos  int32
+	state []surveyRank[VM, EM]
 }
 
 type pullEntry[EM any] struct {
@@ -136,49 +129,23 @@ type pullEntry[EM any] struct {
 	em  EM
 }
 
-type rankState[VM, EM any] struct {
-	// Source side (dry run → push/pull bookkeeping).
-	targVol  map[uint64]uint64   // target vertex → proposed push volume (edges)
-	targReq  map[uint64][]reqRef // target vertex → local wedge sources
-	declined map[uint64]bool     // target vertex → owner declined the pull
-
-	// Target side.
-	pullGrants map[int32][]int32 // local vertex index → granting source ranks
-	numGrants  uint64
-	// filteredAdj memoizes, per local vertex, |{o ∈ Adj⁺ᵐ : edge filter
-	// passes}| — the pull-side cost a plan's edge filter leaves. Populated
-	// lazily by onPropose (hubs receive up to ranks−1 proposes) and reused
-	// by pullPhase. Nil unless the plan has an edge-level filter.
+// surveyRank is one rank's view-side scratch.
+type surveyRank[VM, EM any] struct {
+	// filteredAdj memoizes pullLen's edge-filtered adjacency length per
+	// local vertex for one Run: hubs receive up to ranks−1 proposes.
 	filteredAdj map[int32]int32
-
-	// Work accounting.
-	triangles   uint64
-	wedgeChecks uint64
-
-	// Pushdown prune accounting (stay zero without a plan).
-	prunedBatches uint64
-	prunedCands   uint64
-	prunedPull    uint64
 
 	scratchTri  Triangle[VM, EM]
 	scratchPull []pullEntry[EM]
-	scratchKeep []int32 // surviving-candidate indices of the batch being built
 }
 
 // NewSurvey prepares a survey of g invoking cb on every triangle. cb may be
 // nil for pure counting (Result.Triangles is maintained either way).
 func NewSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, cb Callback[VM, EM]) *Survey[VM, EM] {
-	// Not `== 0`: a negative (or NaN) factor would flip the dry-run pull
-	// inequality and grant pulls to exactly the targets that should push,
-	// silently degrading Push-Pull into nonsense grants.
-	if !(opts.PullFactor > 0) {
-		opts.PullFactor = 1.0
-	}
-	s := &Survey[VM, EM]{g: g, w: g.World(), opts: opts, cb: cb}
-	s.state = make([]rankState[VM, EM], s.w.Size())
+	s := &Survey[VM, EM]{g: g, w: g.World(), cb: cb}
+	s.state = make([]surveyRank[VM, EM], s.w.Size())
 	s.hPush = s.w.RegisterHandler(s.onPush)
-	s.hPropose = s.w.RegisterHandler(s.onPropose)
-	s.hDecline = s.w.RegisterHandler(s.onDecline)
+	s.k.init(s.w, g.Owner, opts, s)
 	s.hPull = s.w.RegisterHandler(s.onPull)
 	return s
 }
@@ -203,75 +170,16 @@ func NewPlannedSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Pl
 // communication statistics to attribute traffic per phase.
 func (s *Survey[VM, EM]) Run() Result {
 	for i := range s.state {
-		st := &s.state[i]
-		if st.targVol == nil {
-			st.targVol = make(map[uint64]uint64)
-			st.targReq = make(map[uint64][]reqRef)
-			st.declined = make(map[uint64]bool)
-			st.pullGrants = make(map[int32][]int32)
-		} else {
-			// Reuse the previous Run's maps: repeated surveys over the same
-			// graph (ablation sweeps, stream rebuilds) were paying a fresh
-			// set of map allocations per rank per run.
-			clear(st.targVol)
-			clear(st.targReq)
-			clear(st.declined)
-			clear(st.pullGrants)
-		}
-		st.numGrants = 0
-		if st.filteredAdj != nil {
-			clear(st.filteredAdj)
-		}
-		st.triangles = 0
-		st.wedgeChecks = 0
-		st.prunedBatches = 0
-		st.prunedCands = 0
-		st.prunedPull = 0
+		clear(s.state[i].filteredAdj)
 	}
 	s.w.ResetStats()
-
-	res := Result{Mode: s.opts.Mode, Ordering: s.g.Ordering().String(), Planned: s.plan.active}
+	res := Result{Mode: s.k.mode, Ordering: s.g.Ordering().String(), Planned: s.plan.active}
 	t0 := time.Now()
 	var prev ygm.Stats
-
-	phase := func(dst *PhaseStats, body func(r *ygm.Rank)) {
-		start := time.Now()
-		s.w.Parallel(body)
-		dst.Duration = time.Since(start)
-		now := s.w.Stats()
-		d := now.Sub(prev)
-		prev = now
-		dst.Bytes = d.BytesSent
-		dst.Messages = d.MessagesSent
-		dst.Batches = d.BatchesSent
-	}
-
-	if s.opts.Mode == PushPull {
-		phase(&res.DryRun, s.dryRunPhase)
-	}
-	phase(&res.Push, s.pushPhase)
-	if s.opts.Mode == PushPull {
-		phase(&res.Pull, s.pullPhase)
-	}
-
+	s.k.run(&res, &prev)
 	res.Total = time.Since(t0)
-	for i := range s.state {
-		res.Triangles += s.state[i].triangles
-		res.PullsGranted += s.state[i].numGrants
-		res.WedgeChecks += s.state[i].wedgeChecks
-		res.PrunedBatches += s.state[i].prunedBatches
-		res.PrunedCandidates += s.state[i].prunedCands
-		res.PrunedPullEntries += s.state[i].prunedPull
-		if s.state[i].wedgeChecks > res.MaxRankWedgeChecks {
-			res.MaxRankWedgeChecks = s.state[i].wedgeChecks
-		}
-	}
 	if s.w.Distributed() {
 		s.reduceResult(&res)
-	}
-	res.AvgPullsPerRank = float64(res.PullsGranted) / float64(s.w.Size())
-	if res.MaxRankWedgeChecks > 0 {
-		res.WorkBalance = float64(res.WedgeChecks) / (float64(s.w.Size()) * float64(res.MaxRankWedgeChecks))
 	}
 	return res
 }
@@ -317,27 +225,21 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 			out = t
 		}
 	})
+	out.deriveRatios(s.w.Size())
 	*res = out
 }
 
-// --- Dry-run phase (§4.4, "Push vs Pull Dry-Run") ---------------------
-
-// dryRunPhase mimics the push pass over adjacency lists without moving any
-// adjacency data: it accumulates, per target vertex, the number of edges
-// this rank would push, remembers where each wedge source lives (so pulls
-// can be served locally later), and proposes aggregate volumes to target
-// owners.
+// dryRun parks every ⟨p,q⟩ under q with its suffix length as the proposed
+// volume, and remembers where it lives so a granted pull is served locally.
 //
 // Under a plan, wedges the pushdown filters would fully eliminate — the
 // (p,q) edge fails the edge filter, or no suffix candidate survives the
-// candidate filter — contribute no volume, are never parked, and so are
-// never proposed: their true push cost is zero, and omitting them keeps
-// the dry run's negotiation honest. Surviving wedges propose their
-// *unfiltered* suffix length (a cheap upper bound on the materialized push
-// — the survival scan early-exits at the first passing candidate, keeping
-// the dry run O(out-degree) except for fully-pruned wedges).
-func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
-	st := &s.state[r.ID()]
+// candidate filter — are never parked, and so never proposed: their true
+// push cost is zero. Surviving wedges propose their *unfiltered* suffix
+// length (a cheap upper bound on the materialized push — the survival scan
+// early-exits at the first passing candidate, keeping the dry run
+// O(out-degree) except for fully-pruned wedges).
+func (s *Survey[VM, EM]) dryRun(r *ygm.Rank, k *kernelRank) {
 	f := &s.plan
 	verts := s.g.LocalVertices(r)
 	for vi := range verts {
@@ -345,195 +247,109 @@ func (s *Survey[VM, EM]) dryRunPhase(r *ygm.Rank) {
 		for j := 0; j+1 < len(p.Adj); j++ {
 			q := &p.Adj[j]
 			rest := p.Adj[j+1:]
-			if f.active {
-				// Fully-pruned wedges are accounted here, once: the push
-				// phase skips them silently in push-pull mode.
-				if !f.edge(q.EMeta) {
-					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
-					continue
-				}
-				alive := false
-				for k := range rest {
-					if f.cand(q.EMeta, rest[k].EMeta) {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
-					continue
-				}
+			if f.active && !(f.edge(q.EMeta) && anyOutCand(f, q.EMeta, rest)) {
+				k.pruned(len(rest))
+				continue
 			}
-			st.targVol[q.Target] += uint64(len(rest))
-			st.targReq[q.Target] = append(st.targReq[q.Target], reqRef{vert: int32(vi), pos: int32(j)})
+			k.park(q.Target, uint64(len(rest)), reqRef{vert: int32(vi), pos: int32(j)})
 		}
-	}
-	for q, vol := range st.targVol {
-		e := r.Begin(s.g.Owner(q), s.hPropose)
-		e.PutUvarint(q)
-		e.PutUvarint(vol)
-		e.PutUvarint(uint64(r.ID()))
-		r.Commit(e)
 	}
 }
 
-// onPropose runs at the target vertex's owner: grant the pull when sending
-// Adj⁺ᵐ(q) once beats receiving the proposed volume, otherwise tell the
-// source to push as usual. Under a plan with an edge-level filter, the
-// pull side's cost is the *filtered* adjacency length — the entries a pull
-// reply would actually carry.
-func (s *Survey[VM, EM]) onPropose(r *ygm.Rank, d *serialize.Decoder) {
-	q := d.Uvarint()
-	vol := d.Uvarint()
-	src := int(d.Uvarint())
-	if d.Err() != nil {
-		panic("core: corrupt propose message: " + d.Err().Error())
-	}
-	st := &s.state[r.ID()]
-	v, ok := s.g.Lookup(r, q)
-	if !ok {
-		panic("core: propose for vertex not stored at its owner")
-	}
-	adjLen := len(v.Adj)
-	vi := int32(-1)
-	if s.plan.hasEdge {
-		vi = s.g.LocalIndex(r, q)
-		adjLen = s.filteredAdjLen(st, vi, v)
-	}
-	if float64(adjLen)*s.opts.PullFactor < float64(vol) {
-		if vi < 0 {
-			vi = s.g.LocalIndex(r, q)
-		}
-		st.pullGrants[vi] = append(st.pullGrants[vi], int32(src))
-		st.numGrants++
-		return
-	}
-	e := r.Begin(src, s.hDecline)
-	e.PutUvarint(q)
-	r.Commit(e)
-}
-
-// filteredAdjLen returns the edge-filtered length of v's adjacency list,
-// memoized per local vertex for the duration of one Run (hubs are asked
-// once per proposing rank and again by the pull phase).
-func (s *Survey[VM, EM]) filteredAdjLen(st *rankState[VM, EM], vi int32, v *graph.Vertex[VM, EM]) int {
-	if st.filteredAdj == nil {
-		st.filteredAdj = make(map[int32]int32)
-	}
-	if c, ok := st.filteredAdj[vi]; ok {
-		return int(c)
-	}
-	n := 0
-	for k := range v.Adj {
-		if s.plan.edge(v.Adj[k].EMeta) {
-			n++
+// anyOutCand reports whether some candidate of rest survives f's candidate
+// filter for a wedge with edge metadata em.
+func anyOutCand[VM, EM any](f *planFilters[EM], em EM, rest []graph.OutEdge[VM, EM]) bool {
+	for c := range rest {
+		if f.cand(em, rest[c].EMeta) {
+			return true
 		}
 	}
-	st.filteredAdj[vi] = int32(n)
-	return n
-}
-
-func (s *Survey[VM, EM]) onDecline(r *ygm.Rank, d *serialize.Decoder) {
-	q := d.Uvarint()
-	if d.Err() != nil {
-		panic("core: corrupt decline message: " + d.Err().Error())
-	}
-	s.state[r.ID()].declined[q] = true
+	return false
 }
 
 // --- Push phase (Alg. 1; §4.3) -----------------------------------------
 
-// pushPhase streams, for every local pivot p and every q ∈ Adj⁺(p), the
-// <+-suffix of Adj⁺ᵐ(p) after q to Rank(q), where onPush intersects it with
-// Adj⁺ᵐ(q). In Push-Pull mode, targets granted a pull are skipped.
+// push streams, for every local pivot p and every q ∈ Adj⁺(p) that pushes,
+// the <+-suffix of Adj⁺ᵐ(p) after q to Rank(q), where onPush intersects it
+// with Adj⁺ᵐ(q).
 //
 // Under a plan, the pushdown happens here: a batch whose (p,q) edge fails
 // the edge filter is never enqueued, candidates failing the candidate
 // filter are dropped before encoding (the surviving subsequence stays
 // sorted, so onPush's merge path is untouched), and a batch whose suffix
 // empties is never enqueued either.
-func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
-	st := &s.state[r.ID()]
+func (s *Survey[VM, EM]) push(r *ygm.Rank, k *kernelRank) {
 	f := &s.plan
-	pushPull := s.opts.Mode == PushPull
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 	verts := s.g.LocalVertices(r)
 	for vi := range verts {
 		p := &verts[vi]
 		for j := 0; j+1 < len(p.Adj); j++ {
-			q := p.Adj[j]
+			q := &p.Adj[j]
 			rest := p.Adj[j+1:]
 			if f.active && !f.edge(q.EMeta) {
-				// In push-pull mode the dry run already accounted this
-				// fully-pruned wedge; count it here only when no dry run
-				// ran.
-				if !pushPull {
-					st.prunedBatches++
-					st.prunedCands += uint64(len(rest))
-				}
+				k.pruned(len(rest))
 				continue
 			}
-			if pushPull && !st.declined[q.Target] {
+			if !k.pushes(q.Target) {
 				continue // granted pull: the pull phase covers this wedge batch
 			}
 			// Survivors are recorded in one predicate pass: the encode loop
-			// below must not re-evaluate user predicates, both for speed
-			// and so an impure WhereEdge cannot desynchronize the encoded
-			// entry count from the header.
-			filtered := f.active // active implies hasEdge or hasPair (compile)
-			keep := st.scratchKeep[:0]
-			if filtered {
-				for k := range rest {
-					if f.cand(q.EMeta, rest[k].EMeta) {
-						keep = append(keep, int32(k))
+			// must not re-evaluate user predicates, both for speed and so an
+			// impure WhereEdge cannot desynchronize the encoded entry count
+			// from the header.
+			var keep []int32 // nil: every candidate
+			if f.active {
+				keep = k.scratchKeep[:0]
+				for c := range rest {
+					if f.cand(q.EMeta, rest[c].EMeta) {
+						keep = append(keep, int32(c))
 					}
 				}
-				st.scratchKeep = keep
+				k.scratchKeep = keep
 				if len(keep) == 0 {
-					if !pushPull {
-						st.prunedBatches++
-						st.prunedCands += uint64(len(rest))
-					}
+					k.pruned(len(rest))
 					continue
 				}
-				st.prunedCands += uint64(len(rest) - len(keep))
+				k.prunedCands += uint64(len(rest) - len(keep))
 			}
 			e := r.Begin(s.g.Owner(q.Target), s.hPush)
 			e.PutUvarint(p.ID)
 			vmC.Encode(e, p.Meta)
 			e.PutUvarint(q.Target)
 			emC.Encode(e, q.EMeta)
-			// Candidate entries carry (r, d(r), meta(p,r)) but not meta(r):
-			// Rank(q) already stores meta(r) for any r closing a triangle
-			// (§4.3: "this extra metadata is never actually transmitted").
-			// d(r) is sent as the gap from the previous candidate's — the
-			// suffix is sorted by order key, so TOrd is non-decreasing and
-			// the gaps are near-zero varints where absolute values (hub
-			// degrees) routinely cost multiple bytes.
-			prevOrd := uint32(0)
-			if filtered {
-				e.PutUvarint(uint64(len(keep)))
-				for _, k := range keep {
-					c := &rest[k]
-					e.PutUvarint(c.Target)
-					e.PutUvarint(uint64(c.TOrd - prevOrd))
-					prevOrd = c.TOrd
-					emC.Encode(e, c.EMeta)
-				}
-			} else {
-				e.PutUvarint(uint64(len(rest)))
-				for k := range rest {
-					c := &rest[k]
-					e.PutUvarint(c.Target)
-					e.PutUvarint(uint64(c.TOrd - prevOrd))
-					prevOrd = c.TOrd
-					emC.Encode(e, c.EMeta)
-				}
-			}
+			encodeOut(e, emC, rest, keep)
 			r.Commit(e)
 		}
+	}
+}
+
+// encodeOut writes adjacency entries as a candidate list: uvarint(count),
+// then per entry uvarint(id), uvarint(order-key degree gap) and the edge
+// metadata. keep selects entries by index; nil writes all of adj.
+//
+// Entries carry (r, d(r), meta(p,r)) but not meta(r): the receiver already
+// stores meta(r) for any r closing a triangle (§4.3: "this extra metadata
+// is never actually transmitted"). d(r) is sent as the gap from the
+// previous entry's — adj is sorted by order key, so TOrd is non-decreasing
+// and the gaps are near-zero varints where absolute values (hub degrees)
+// routinely cost multiple bytes.
+func encodeOut[VM, EM any](e *serialize.Encoder, emC serialize.Codec[EM], adj []graph.OutEdge[VM, EM], keep []int32) {
+	n := len(adj)
+	if keep != nil {
+		n = len(keep)
+	}
+	e.PutUvarint(uint64(n))
+	prevOrd := uint32(0)
+	for i := 0; i < n; i++ {
+		o := &adj[i]
+		if keep != nil {
+			o = &adj[keep[i]]
+		}
+		e.PutUvarint(o.Target)
+		e.PutUvarint(uint64(o.TOrd - prevOrd))
+		prevOrd = o.TOrd
+		emC.Encode(e, o.EMeta)
 	}
 }
 
@@ -543,7 +359,7 @@ func (s *Survey[VM, EM]) pushPhase(r *ygm.Rank) {
 // meta(p), meta(p,q), meta(p,r) from the message, meta(q), meta(q,r),
 // meta(r) from local storage (§4.3).
 func (s *Survey[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
-	st := &s.state[r.ID()]
+	k := &s.k.ranks[r.ID()]
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 
 	pid := d.Uvarint()
@@ -559,7 +375,7 @@ func (s *Survey[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 		panic("core: push for vertex not stored at its owner")
 	}
 	adj := q.Adj
-	k := 0
+	j := 0
 	cdeg := uint32(0)
 	for i := 0; i < count; i++ {
 		cid := d.Uvarint()
@@ -568,94 +384,102 @@ func (s *Survey[VM, EM]) onPush(r *ygm.Rank, d *serialize.Decoder) {
 		if d.Err() != nil {
 			panic("core: corrupt push candidate: " + d.Err().Error())
 		}
-		ck := graph.KeyOf(cdeg, cid)
-		k = gallopOutKey(adj, k, ck)
-		st.wedgeChecks++
-		if k < len(adj) && adj[k].Target == cid {
-			o := &adj[k]
+		j = gallopOutKey(adj, j, graph.KeyOf(cdeg, cid))
+		k.wedgeChecks++
+		if j < len(adj) && adj[j].Target == cid {
+			o := &adj[j]
+			j++
 			// With a plan, the source's checks were necessary conditions
 			// only; the full predicate runs here on all three edge metas.
 			if s.plan.active && !s.plan.tri(metaPQ, metaPR, o.EMeta) {
-				k++
 				continue
 			}
-			st.triangles++
-			if s.cb != nil {
-				t := &st.scratchTri
-				t.P, t.Q, t.R = pid, qid, cid
-				t.MetaP, t.MetaQ, t.MetaR = metaP, q.Meta, o.TMeta
-				t.MetaPQ, t.MetaPR, t.MetaQR = metaPQ, metaPR, o.EMeta
-				s.cb(r, t)
-			}
-			k++
+			k.triangles++
+			s.emit(r, pid, metaP, qid, q.Meta, cid, o.TMeta, metaPQ, metaPR, o.EMeta)
 		}
 	}
 }
 
+// emit hands triangle Δpqr to the callback, if any.
+func (s *Survey[VM, EM]) emit(r *ygm.Rank, p uint64, mp VM, q uint64, mq VM, rr uint64, mr VM, epq, epr, eqr EM) {
+	if s.cb == nil {
+		return
+	}
+	t := &s.state[r.ID()].scratchTri
+	t.P, t.Q, t.R = p, q, rr
+	t.MetaP, t.MetaQ, t.MetaR = mp, mq, mr
+	t.MetaPQ, t.MetaPR, t.MetaQR = epq, epr, eqr
+	s.cb(r, t)
+}
+
 // --- Pull phase (§4.4) ---------------------------------------------------
 
-// pullPhase ships each granted Adj⁺ᵐ(q) — once per granting (q, source
-// rank) pair — to the source, where onPull completes every wedge batch that
-// was parked during the dry run. Target vertex metadata of pulled entries
-// is not transmitted: the puller already stores meta(r) for every candidate
-// r in its own Adj⁺ᵐ(p) (the same redundancy §4.3 notes for pushes).
-// Under a plan with an edge-level filter, entries whose (q,r) edge cannot
-// appear in any matching triangle are omitted from the reply (the filtered
-// subsequence stays sorted); a reply that would carry no entries is not
-// sent at all — the parked wedges at the source can close no triangle.
-func (s *Survey[VM, EM]) pullPhase(r *ygm.Rank) {
+// pullLen is the pull side's cost: |Adj⁺ᵐ(q)|, or under an edge-level
+// filter the entries that pass it, memoized per local vertex for one Run
+// (hubs are asked once per proposing rank).
+func (s *Survey[VM, EM]) pullLen(r *ygm.Rank, q uint64) (int32, int) {
+	vi := s.g.LocalIndex(r, q)
+	if vi < 0 {
+		panic("core: propose for vertex not stored at its owner")
+	}
+	adj := s.g.LocalVertices(r)[vi].Adj
+	if !s.plan.hasEdge {
+		return vi, len(adj)
+	}
 	st := &s.state[r.ID()]
+	if st.filteredAdj == nil {
+		st.filteredAdj = make(map[int32]int32)
+	}
+	if n, ok := st.filteredAdj[vi]; ok {
+		return vi, int(n)
+	}
+	n := 0
+	for c := range adj {
+		if s.plan.edge(adj[c].EMeta) {
+			n++
+		}
+	}
+	st.filteredAdj[vi] = int32(n)
+	return vi, n
+}
+
+// pull ships a granted Adj⁺ᵐ(q) to each granting source, where onPull
+// completes every wedge batch parked there during the dry run. Target
+// vertex metadata of pulled entries is not transmitted: the puller already
+// stores meta(r) for every candidate r in its own Adj⁺ᵐ(p) (the same
+// redundancy §4.3 notes for pushes). Under a plan with an edge-level
+// filter, entries whose (q,r) edge cannot appear in any matching triangle
+// are omitted (the filtered subsequence stays sorted); a reply that would
+// carry no entries is not sent at all — the parked wedges at the source
+// can close no triangle.
+func (s *Survey[VM, EM]) pull(r *ygm.Rank, k *kernelRank, vi int32, srcs []int32) {
 	f := &s.plan
+	q := &s.g.LocalVertices(r)[vi]
+	// One predicate pass per vertex (not per reply): the survivor set is
+	// identical across granting sources, and encoding from the recorded
+	// indices keeps the header count and the payload in sync even under an
+	// impure WhereEdge (same invariant as push).
+	var keep []int32 // nil: every entry
+	if f.hasEdge {
+		keep = k.scratchKeep[:0]
+		for c := range q.Adj {
+			if f.edge(q.Adj[c].EMeta) {
+				keep = append(keep, int32(c))
+			}
+		}
+		k.scratchKeep = keep
+		k.prunedPull += uint64((len(q.Adj) - len(keep)) * len(srcs))
+		if len(keep) == 0 {
+			return
+		}
+	}
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
-	verts := s.g.LocalVertices(r)
-	for vi, srcs := range st.pullGrants {
-		q := &verts[vi]
-		// One predicate pass per vertex (not per reply): the survivor set
-		// is identical across granting sources, and encoding from the
-		// recorded indices keeps the header count and the payload in sync
-		// even under an impure WhereEdge (same invariant as pushPhase).
-		var keep []int32
-		if f.hasEdge {
-			keep = st.scratchKeep[:0]
-			for k := range q.Adj {
-				if f.edge(q.Adj[k].EMeta) {
-					keep = append(keep, int32(k))
-				}
-			}
-			st.scratchKeep = keep
-			st.prunedPull += uint64((len(q.Adj) - len(keep)) * len(srcs))
-			if len(keep) == 0 {
-				continue
-			}
-		}
-		for _, src := range srcs {
-			e := r.Begin(int(src), s.hPull)
-			e.PutUvarint(q.ID)
-			vmC.Encode(e, q.Meta)
-			// Same TOrd gap encoding as the push candidates: Adj⁺ᵐ(q) is
-			// sorted by order key, so the gaps are near-zero varints.
-			prevOrd := uint32(0)
-			if f.hasEdge {
-				e.PutUvarint(uint64(len(keep)))
-				for _, k := range keep {
-					o := &q.Adj[k]
-					e.PutUvarint(o.Target)
-					e.PutUvarint(uint64(o.TOrd - prevOrd))
-					prevOrd = o.TOrd
-					emC.Encode(e, o.EMeta)
-				}
-			} else {
-				e.PutUvarint(uint64(len(q.Adj)))
-				for k := range q.Adj {
-					o := &q.Adj[k]
-					e.PutUvarint(o.Target)
-					e.PutUvarint(uint64(o.TOrd - prevOrd))
-					prevOrd = o.TOrd
-					emC.Encode(e, o.EMeta)
-				}
-			}
-			r.Commit(e)
-		}
+	for _, src := range srcs {
+		e := r.Begin(int(src), s.hPull)
+		e.PutUvarint(q.ID)
+		vmC.Encode(e, q.Meta)
+		encodeOut(e, emC, q.Adj, keep)
+		r.Commit(e)
 	}
 }
 
@@ -665,6 +489,7 @@ func (s *Survey[VM, EM]) pullPhase(r *ygm.Rank) {
 // meta(p), meta(p,q), meta(p,r), meta(r) are local, meta(q) and meta(q,r)
 // arrive with the pull.
 func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
+	k := &s.k.ranks[r.ID()]
 	st := &s.state[r.ID()]
 	emC, vmC := s.g.EdgeCodec(), s.g.VertexCodec()
 
@@ -675,52 +500,42 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 		panic("core: corrupt pull header: " + d.Err().Error())
 	}
 	pulled := st.scratchPull[:0]
-	prevOrd := uint32(0)
+	deg := uint32(0)
 	for i := 0; i < count; i++ {
-		var pe pullEntry[EM]
-		pe.id = d.Uvarint()
-		pe.deg = prevOrd + uint32(d.Uvarint())
-		prevOrd = pe.deg
-		pe.em = emC.Decode(d)
+		id := d.Uvarint()
+		deg += uint32(d.Uvarint())
+		pulled = append(pulled, pullEntry[EM]{id: id, deg: deg, em: emC.Decode(d)})
 		if d.Err() != nil {
 			panic("core: corrupt pull entry: " + d.Err().Error())
 		}
-		pulled = append(pulled, pe)
 	}
 	st.scratchPull = pulled
 
 	f := &s.plan
 	verts := s.g.LocalVertices(r)
-	for _, ref := range st.targReq[qid] {
+	for _, ref := range k.parked[qid] {
 		p := &verts[ref.vert]
 		suffix := p.Adj[ref.pos+1:]
 		metaPQ := p.Adj[ref.pos].EMeta
-		k := 0
+		j := 0
 		for i := range suffix {
 			c := &suffix[i]
 			// Mirror of the push side's candidate pushdown: a filtered
 			// candidate is skipped without advancing the merge cursor.
 			if f.active && !f.cand(metaPQ, c.EMeta) {
-				st.prunedCands++
+				k.prunedCands++
 				continue
 			}
-			ck := c.Key()
-			k = gallopPullKey(pulled, k, ck)
-			st.wedgeChecks++
-			if k < len(pulled) && pulled[k].id == c.Target {
-				if f.active && !f.tri(metaPQ, c.EMeta, pulled[k].em) {
-					k++
+			j = gallopPullKey(pulled, j, c.Key())
+			k.wedgeChecks++
+			if j < len(pulled) && pulled[j].id == c.Target {
+				pe := &pulled[j]
+				j++
+				if f.active && !f.tri(metaPQ, c.EMeta, pe.em) {
 					continue
 				}
-				st.triangles++
-				if s.cb != nil {
-					t := &st.scratchTri
-					t.P, t.Q, t.R = p.ID, qid, c.Target
-					t.MetaP, t.MetaQ, t.MetaR = p.Meta, metaQ, c.TMeta
-					t.MetaPQ, t.MetaPR, t.MetaQR = metaPQ, c.EMeta, pulled[k].em
-					s.cb(r, t)
-				}
-				k++
+				k.triangles++
+				s.emit(r, p.ID, p.Meta, qid, metaQ, c.Target, c.TMeta, metaPQ, c.EMeta, pe.em)
 			}
 		}
 	}

@@ -10,8 +10,19 @@ import (
 	"tripoll/internal/baseline"
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
+	"tripoll/internal/stats"
 	"tripoll/internal/ygm"
 )
+
+// runT runs a fused survey, failing t on error.
+func runT[VM, EM any](t testing.TB, g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analyses ...Attached[VM, EM]) Result {
+	t.Helper()
+	res, err := Run(g, opts, plan, analyses...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // buildMeta constructs a DODGr with deterministic metadata:
 // meta(v) = v*3+1 and meta(u,v) = min*1e6 + max.
@@ -80,7 +91,7 @@ func TestCountKnownGraphs(t *testing.T) {
 		for _, mode := range []Mode{PushOnly, PushPull} {
 			for _, nranks := range []int{1, 2, 4} {
 				w, g := buildMeta(t, nranks, c.edges, ygm.Options{})
-				res := Count(g, Options{Mode: mode})
+				res := runT(t, g, Options{Mode: mode}, nil)
 				if res.Triangles != c.want {
 					t.Errorf("%s/%v/%d ranks: count = %d, want %d", c.name, mode, nranks, res.Triangles, c.want)
 				}
@@ -102,7 +113,7 @@ func TestCountAgainstSerialBaseline(t *testing.T) {
 		want := baseline.SerialCount(edges)
 		for _, mode := range []Mode{PushOnly, PushPull} {
 			w, g := buildMeta(t, 3, edges, ygm.Options{})
-			res := Count(g, Options{Mode: mode})
+			res := runT(t, g, Options{Mode: mode}, nil)
 			if res.Triangles != want {
 				t.Errorf("trial %d mode %v: count = %d, want %d", trial, mode, res.Triangles, want)
 			}
@@ -212,8 +223,8 @@ func TestPushPullEqualsPushOnlyProperty(t *testing.T) {
 		want := baseline.SerialCount(edges)
 		w, g := buildMeta(t, nranks, edges, ygm.Options{})
 		defer w.Close()
-		a := Count(g, Options{Mode: PushOnly})
-		b := Count(g, Options{Mode: PushPull})
+		a := runT(t, g, Options{Mode: PushOnly}, nil)
+		b := runT(t, g, Options{Mode: PushPull}, nil)
 		return a.Triangles == want && b.Triangles == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
@@ -232,7 +243,7 @@ func TestPullFactorExtremes(t *testing.T) {
 	grants := map[float64]uint64{}
 	for _, pf := range []float64{1e-9, 0.5, 1.0, 2.0, 1e9} {
 		w, g := buildMeta(t, 3, edges, ygm.Options{})
-		res := Count(g, Options{Mode: PushPull, PullFactor: pf})
+		res := runT(t, g, Options{Mode: PushPull, PullFactor: pf}, nil)
 		if res.Triangles != want {
 			t.Errorf("PullFactor %g: count = %d, want %d", pf, res.Triangles, want)
 		}
@@ -266,12 +277,12 @@ func TestPullFactorClampsNonPositive(t *testing.T) {
 	want := baseline.SerialCount(edges)
 	w, g := buildMeta(t, 3, edges, ygm.Options{})
 	defer w.Close()
-	ref := Count(g, Options{Mode: PushPull, PullFactor: 1.0})
+	ref := runT(t, g, Options{Mode: PushPull, PullFactor: 1.0}, nil)
 	if ref.Triangles != want {
 		t.Fatalf("reference count = %d, want %d", ref.Triangles, want)
 	}
 	for _, pf := range []float64{-1.0, -1e9, 0, math.NaN()} {
-		res := Count(g, Options{Mode: PushPull, PullFactor: pf})
+		res := runT(t, g, Options{Mode: PushPull, PullFactor: pf}, nil)
 		if res.Triangles != want {
 			t.Errorf("PullFactor %v: count = %d, want %d", pf, res.Triangles, want)
 		}
@@ -287,7 +298,7 @@ func TestSurveyOverTCPTransport(t *testing.T) {
 	w, g := buildMeta(t, 3, k5, ygm.Options{Transport: ygm.TransportTCP})
 	defer w.Close()
 	for _, mode := range []Mode{PushOnly, PushPull} {
-		res := Count(g, Options{Mode: mode})
+		res := runT(t, g, Options{Mode: mode}, nil)
 		if res.Triangles != want {
 			t.Errorf("tcp/%v: count = %d, want %d", mode, res.Triangles, want)
 		}
@@ -314,7 +325,7 @@ func TestResultPhaseAccounting(t *testing.T) {
 	w, g := buildMeta(t, 4, edges, ygm.Options{})
 	defer w.Close()
 
-	po := Count(g, Options{Mode: PushOnly})
+	po := runT(t, g, Options{Mode: PushOnly}, nil)
 	if po.Push.Bytes == 0 || po.Push.Messages == 0 {
 		t.Errorf("push-only: empty push phase stats: %+v", po.Push)
 	}
@@ -325,7 +336,7 @@ func TestResultPhaseAccounting(t *testing.T) {
 		t.Error("no wedge checks recorded")
 	}
 
-	pp := Count(g, Options{Mode: PushPull})
+	pp := runT(t, g, Options{Mode: PushPull}, nil)
 	if pp.DryRun.Bytes == 0 {
 		t.Error("push-pull: dry run sent no bytes")
 	}
@@ -346,7 +357,8 @@ func TestLocalVertexCounts(t *testing.T) {
 	want := baseline.SerialLocalCounts(edges)
 	w, g := buildMeta(t, 3, edges, ygm.Options{})
 	defer w.Close()
-	got, res := LocalVertexCounts(g, Options{})
+	var got map[uint64]uint64
+	res := runT(t, g, Options{}, nil, VertexCountAnalysis[uint64, uint64]().Bind(&got))
 	if res.Triangles != baseline.SerialCount(edges) {
 		t.Errorf("count = %d", res.Triangles)
 	}
@@ -363,31 +375,33 @@ func TestLocalVertexCounts(t *testing.T) {
 func TestClusteringCoefficientsK4(t *testing.T) {
 	w, g := buildMeta(t, 2, k4, ygm.Options{})
 	defer w.Close()
-	cs, _ := ClusteringCoefficients(g, Options{})
-	if cs.Average != 1.0 {
-		t.Errorf("K4 average cc = %v, want 1", cs.Average)
+	var cs ClusteringAccum
+	runT(t, g, Options{}, nil, ClusteringAnalysis(g).Bind(&cs))
+	if cs.Stats.Average != 1.0 {
+		t.Errorf("K4 average cc = %v, want 1", cs.Stats.Average)
 	}
-	if cs.Global != 1.0 {
-		t.Errorf("K4 transitivity = %v, want 1", cs.Global)
+	if cs.Stats.Global != 1.0 {
+		t.Errorf("K4 transitivity = %v, want 1", cs.Stats.Global)
 	}
-	if cs.Triangles != 4 || cs.Wedges != 12 {
-		t.Errorf("K4 stats: %+v", cs)
+	if cs.Stats.Triangles != 4 || cs.Stats.Wedges != 12 {
+		t.Errorf("K4 stats: %+v", cs.Stats)
 	}
 }
 
 func TestClusteringCoefficientsBowtie(t *testing.T) {
 	w, g := buildMeta(t, 2, bowtie, ygm.Options{})
 	defer w.Close()
-	cs, _ := ClusteringCoefficients(g, Options{})
+	var cs ClusteringAccum
+	runT(t, g, Options{}, nil, ClusteringAnalysis(g).Bind(&cs))
 	// Bowtie: center vertex 2 has d=4, t=2 → cc = 2·2/(4·3) = 1/3; the four
 	// outer vertices have d=2, t=1 → cc = 1. Average = (4 + 1/3)/5 = 13/15.
 	want := 13.0 / 15.0
-	if diff := cs.Average - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("bowtie average cc = %v, want %v", cs.Average, want)
+	if diff := cs.Stats.Average - want; diff > 1e-12 || diff < -1e-12 {
+		t.Errorf("bowtie average cc = %v, want %v", cs.Stats.Average, want)
 	}
 	// Transitivity: 3·2 / (C(4,2) + 4·C(2,2)) = 6/10.
-	if diff := cs.Global - 0.6; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("bowtie transitivity = %v, want 0.6", cs.Global)
+	if diff := cs.Stats.Global - 0.6; diff > 1e-12 || diff < -1e-12 {
+		t.Errorf("bowtie transitivity = %v, want 0.6", cs.Stats.Global)
 	}
 }
 
@@ -397,7 +411,8 @@ func TestMaxEdgeLabelDistribution(t *testing.T) {
 	// Δ(0,1,2) = edgeMeta(1,2); of Δ(2,3,4) = edgeMeta(3,4).
 	w, g := buildMeta(t, 3, bowtie, ygm.Options{})
 	defer w.Close()
-	dist, res := MaxEdgeLabelDistribution(g, Options{})
+	var dist map[uint64]uint64
+	res := runT(t, g, Options{}, nil, MaxEdgeLabelAnalysis[uint64](true).Bind(&dist))
 	if res.Triangles != 2 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -426,7 +441,8 @@ func TestDegreeTriplesSurvey(t *testing.T) {
 			g = gg
 		}
 	})
-	dist, res := DegreeTriples(g, Options{})
+	var dist map[DegreeTriple]uint64
+	res := runT(t, g, Options{}, nil, DegreeTripleAnalysis[serialize.Unit]().Bind(&dist))
 	if res.Triangles != 4 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -458,7 +474,8 @@ func TestClosureTimes(t *testing.T) {
 			g = gg
 		}
 	})
-	joint, res := ClosureTimes(g, Options{})
+	var joint *stats.Joint2D
+	res := runT(t, g, Options{}, nil, ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
 	if res.Triangles != 2 {
 		t.Fatalf("count = %d", res.Triangles)
 	}
@@ -483,7 +500,7 @@ func TestEmptyGraphSurvey(t *testing.T) {
 	w, g := buildMeta(t, 2, [][2]uint64{{1, 2}}, ygm.Options{})
 	defer w.Close()
 	for _, mode := range []Mode{PushOnly, PushPull} {
-		if res := Count(g, Options{Mode: mode}); res.Triangles != 0 {
+		if res := runT(t, g, Options{Mode: mode}, nil); res.Triangles != 0 {
 			t.Errorf("single edge graph: %d triangles", res.Triangles)
 		}
 	}

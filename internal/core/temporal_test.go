@@ -35,6 +35,15 @@ func buildTimestamped(t testing.TB, nranks int, edges []graph.TemporalEdge) (*yg
 	return w, g
 }
 
+// windowCount runs TemporalWindowAnalysis alone, returning the
+// within-window count and the traversal's Result.
+func windowCount[VM any](t testing.TB, g *graph.DODGr[VM, uint64], delta uint64, opts Options) (uint64, Result) {
+	t.Helper()
+	var within uint64
+	res := runT(t, g, opts, nil, TemporalWindowAnalysis[VM](delta).Bind(&within))
+	return within, res
+}
+
 func TestTemporalWindowCountSmall(t *testing.T) {
 	// Two triangles: one spanning 10 time units, one spanning 1000.
 	edges := []graph.TemporalEdge{
@@ -43,16 +52,16 @@ func TestTemporalWindowCountSmall(t *testing.T) {
 	}
 	w, g := buildTimestamped(t, 3, edges)
 	defer w.Close()
-	within, total, _ := TemporalWindowCount(g, 10, Options{})
-	if total != 2 || within != 1 {
-		t.Errorf("delta=10: within=%d total=%d", within, total)
+	within, res := windowCount(t, g, 10, Options{})
+	if res.Triangles != 2 || within != 1 {
+		t.Errorf("delta=10: within=%d total=%d", within, res.Triangles)
 	}
 	// The tight triangle spans exactly 10; delta 9 excludes it.
-	within, _, _ = TemporalWindowCount(g, 9, Options{})
+	within, _ = windowCount(t, g, 9, Options{})
 	if within != 0 {
 		t.Errorf("delta=9: within=%d, want 0", within)
 	}
-	within, _, _ = TemporalWindowCount(g, 1000, Options{})
+	within, _ = windowCount(t, g, 1000, Options{})
 	if within != 2 {
 		t.Errorf("delta=1000: within=%d, want 2", within)
 	}
@@ -66,23 +75,24 @@ func TestTemporalWindowSweepMonotone(t *testing.T) {
 	w, g := buildTimestamped(t, 4, edges)
 	defer w.Close()
 	deltas := []uint64{0, 100, 10_000, 1 << 40}
-	counts, res := TemporalWindowSweep(g, deltas, Options{})
-	if counts[1<<40] != res.Triangles {
-		t.Errorf("unbounded window %d != total %d", counts[1<<40], res.Triangles)
+	var counts []uint64 // indexed like deltas
+	res := runT(t, g, Options{}, nil, TemporalSweepAnalysis[serialize.Unit](deltas).Bind(&counts))
+	if counts[3] != res.Triangles {
+		t.Errorf("unbounded window %d != total %d", counts[3], res.Triangles)
 	}
 	// Monotone in delta.
 	prev := uint64(0)
-	for _, d := range deltas {
-		if counts[d] < prev {
+	for i := range deltas {
+		if counts[i] < prev {
 			t.Errorf("window counts not monotone: %v", counts)
 		}
-		prev = counts[d]
+		prev = counts[i]
 	}
 	// Sweep agrees with individual windows.
-	for _, d := range deltas[:3] {
-		within, _, _ := TemporalWindowCount(g, d, Options{})
-		if within != counts[d] {
-			t.Errorf("sweep[%d] = %d, individual = %d", d, counts[d], within)
+	for i, d := range deltas[:3] {
+		within, _ := windowCount(t, g, d, Options{})
+		if within != counts[i] {
+			t.Errorf("sweep[%d] = %d, individual = %d", d, counts[i], within)
 		}
 	}
 }

@@ -766,7 +766,6 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 				IndexServed:   true,
 				CoalescedWith: 1,
 			}, false)
-			e.bump(func(st *Stats) { st.IndexServed++ })
 		}
 		jobs = rest
 		if len(jobs) == 0 {
@@ -1078,25 +1077,30 @@ func (e *Engine[VM, EM]) bump(f func(*Stats)) {
 	f(&e.stats)
 }
 
+// complete and fail count the job before releasing its waiters, so a
+// client (or a /metrics scrape) holding an answer always sees it counted.
 func (e *Engine[VM, EM]) complete(j *Job, qr QueryResult, fromCache bool) {
-	j.mu.Lock()
-	j.status = JobDone
-	j.res = qr
-	j.mu.Unlock()
-	close(j.done)
 	e.bump(func(st *Stats) {
 		st.Completed++
 		if fromCache {
 			st.CacheHits++
 		}
+		if qr.IndexServed {
+			st.IndexServed++
+		}
 	})
+	j.mu.Lock()
+	j.status = JobDone
+	j.res = qr
+	j.mu.Unlock()
+	close(j.done)
 }
 
 func (e *Engine[VM, EM]) fail(j *Job, err error) {
+	e.bump(func(st *Stats) { st.Failed++ })
 	j.mu.Lock()
 	j.status = JobFailed
 	j.err = err
 	j.mu.Unlock()
 	close(j.done)
-	e.bump(func(st *Stats) { st.Failed++ })
 }

@@ -511,3 +511,30 @@ func TestCanonicalAndUnionPlans(t *testing.T) {
 		t.Errorf("union key = %q, want f10;", key)
 	}
 }
+
+// TestStatsCountAnswersBeforeRelease: a waiter released with an answer
+// always finds that answer already counted in Stats. Every job carries a
+// distinct δ, so each is served by its own traversal (no dedup, no cache).
+func TestStatsCountAnswersBeforeRelease(t *testing.T) {
+	w := ygm.MustWorld(2, ygm.Options{})
+	defer w.Close()
+	g := buildTemporal(w, testEdges(30, 120, 5))
+	e := newTestEngine(t, g)
+	ctx := context.Background()
+	const jobs = 300
+	for i := 0; i < jobs; i++ {
+		j, err := e.Submit(ctx, Spec{Analysis: "count", Delta: Uint64(uint64(i))})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if got := e.Stats().Completed; got != uint64(i+1) {
+			t.Fatalf("job %d answered but Stats().Completed = %d, want %d", i, got, i+1)
+		}
+	}
+	if st := e.Stats(); st.Traversals != jobs || st.CacheHits != 0 {
+		t.Errorf("Traversals = %d CacheHits = %d, want %d and 0", st.Traversals, st.CacheHits, jobs)
+	}
+}

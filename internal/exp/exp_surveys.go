@@ -31,7 +31,11 @@ func Fig6(cfg Config) *Report {
 	edges := gen.RedditLike(redditParams(cfg))
 	w, g := BuildTemporal(cfg, 4, edges)
 	defer w.Close()
-	joint, res := core.ClosureTimes(g, core.Options{})
+	var joint *stats.Joint2D
+	res, err := core.Run(g, core.Options{}, nil, core.ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
+	if err != nil {
+		panic("fig6: " + err.Error())
+	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "events=%d  reduced |E|=%s  triangles=%s  multi-edges merged=%s\n\n",
@@ -73,7 +77,11 @@ func Fig7(cfg Config) *Report {
 	var pulls []float64
 	for _, n := range cfg.rankSweep() {
 		w, g := BuildTemporal(cfg, n, edges)
-		_, res := core.ClosureTimes(g, core.Options{Mode: core.PushPull})
+		var joint *stats.Joint2D
+		res, err := core.Run(g, core.Options{Mode: core.PushPull}, nil, core.ClosureTimeAnalysis[serialize.Unit]().Bind(&joint))
+		if err != nil {
+			panic("fig7: " + err.Error())
+		}
 		if n == cfg.rankSweep()[0] {
 			baseWork = res.MaxRankWedgeChecks
 		}

@@ -150,14 +150,15 @@ func (s *StreamShard[VM, EM]) Insert(vi int32, nbr uint64, em EM, tmeta VM, epoc
 	return true, false
 }
 
-// Find returns the entry vi→nbr (live or dead), or nil.
-func (s *StreamShard[VM, EM]) Find(vi int32, nbr uint64) *StreamEntry[VM, EM] {
+// Find returns the position of the entry vi→nbr (live or dead) in
+// Verts[vi].Adj, or -1.
+func (s *StreamShard[VM, EM]) Find(vi int32, nbr uint64) int {
 	v := &s.Verts[vi]
 	k := sort.Search(len(v.Adj), func(i int) bool { return v.Adj[i].Target >= nbr })
 	if k >= len(v.Adj) || v.Adj[k].Target != nbr {
-		return nil
+		return -1
 	}
-	return &v.Adj[k]
+	return k
 }
 
 // Tombstone marks the half-edge vi→nbr dead. It reports whether a live

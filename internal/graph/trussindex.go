@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"tripoll/internal/serialize"
@@ -173,135 +171,4 @@ func (st *TriSpanStore) EdgesIn(from, until uint64) []serialize.Pair[uint64, uin
 		return out[i].Second < out[j].Second
 	})
 	return out
-}
-
-// Snapshot codec (TPTI1), in the TPDG2 shard mould: magic + version,
-// deterministic encode (edges sorted, buckets sorted per edge), decode
-// that validates every claimed count against the bytes actually remaining
-// before allocating, and typed errors — corrupt input must never panic.
-
-const triSpanMagic = "TPTI1"
-
-// ErrTriSpanCorrupt is wrapped by every decode failure of a triangle-span
-// index snapshot.
-var ErrTriSpanCorrupt = errors.New("graph: corrupt triangle-span index snapshot")
-
-func triSpanCorrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrTriSpanCorrupt, fmt.Sprintf(format, args...))
-}
-
-// EncodeSnapshot serializes the store deterministically: identical stores
-// yield identical bytes regardless of map iteration order.
-func (st *TriSpanStore) EncodeSnapshot() []byte {
-	var e serialize.Encoder
-	e.PutString(triSpanMagic)
-
-	edges := make([]serialize.Pair[uint64, uint64], 0, len(st.Edges))
-	for k := range st.Edges {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].First != edges[j].First {
-			return edges[i].First < edges[j].First
-		}
-		return edges[i].Second < edges[j].Second
-	})
-	e.PutUvarint(uint64(len(edges)))
-	for _, k := range edges {
-		e.PutUvarint(k.First)
-		e.PutUvarint(k.Second)
-		e.PutUvarint(st.Edges[k])
-
-		b := st.Supp[k]
-		spans := make([]TriSpan, 0, len(b))
-		for sp := range b {
-			spans = append(spans, sp)
-		}
-		sort.Slice(spans, func(i, j int) bool {
-			if spans[i].Lo != spans[j].Lo {
-				return spans[i].Lo < spans[j].Lo
-			}
-			return spans[i].Hi < spans[j].Hi
-		})
-		e.PutUvarint(uint64(len(spans)))
-		for _, sp := range spans {
-			e.PutUvarint(sp.Lo)
-			e.PutUvarint(sp.Hi - sp.Lo) // width, so Hi ≥ Lo is free to validate
-			e.PutUvarint(b[sp])
-		}
-	}
-	return e.Bytes()
-}
-
-// DecodeTriSpanSnapshot parses TPTI1 bytes back into a store. Corrupt or
-// truncated input returns an error wrapping ErrTriSpanCorrupt; claimed
-// counts are checked against the remaining buffer before any allocation
-// is sized by them.
-func DecodeTriSpanSnapshot(data []byte) (*TriSpanStore, error) {
-	d := serialize.NewDecoder(data)
-	if magic := d.String(); d.Err() != nil || magic != triSpanMagic {
-		return nil, triSpanCorrupt("bad magic")
-	}
-	nEdges := d.Uvarint()
-	if d.Err() != nil {
-		return nil, triSpanCorrupt("truncated edge count")
-	}
-	// Each edge costs ≥ 4 bytes (three uvarints + bucket count).
-	if nEdges > uint64(d.Remaining()) {
-		return nil, triSpanCorrupt("edge count %d exceeds remaining %d bytes", nEdges, d.Remaining())
-	}
-	st := NewTriSpanStore()
-	var prev serialize.Pair[uint64, uint64]
-	for i := uint64(0); i < nEdges; i++ {
-		u := d.Uvarint()
-		v := d.Uvarint()
-		ts := d.Uvarint()
-		nb := d.Uvarint()
-		if d.Err() != nil {
-			return nil, triSpanCorrupt("truncated edge record %d", i)
-		}
-		if u >= v {
-			return nil, triSpanCorrupt("edge %d not canonical: {%d, %d}", i, u, v)
-		}
-		k := serialize.Pair[uint64, uint64]{First: u, Second: v}
-		if i > 0 && !(prev.First < u || (prev.First == u && prev.Second < v)) {
-			return nil, triSpanCorrupt("edge %d out of order", i)
-		}
-		prev = k
-		if nb > uint64(d.Remaining()) {
-			return nil, triSpanCorrupt("edge %d bucket count %d exceeds remaining %d bytes", i, nb, d.Remaining())
-		}
-		st.Edges[k] = ts
-		if nb == 0 {
-			continue
-		}
-		b := make(map[TriSpan]uint64, nb)
-		var prevSp TriSpan
-		for j := uint64(0); j < nb; j++ {
-			lo := d.Uvarint()
-			width := d.Uvarint()
-			n := d.Uvarint()
-			if d.Err() != nil {
-				return nil, triSpanCorrupt("truncated bucket %d of edge %d", j, i)
-			}
-			if n == 0 {
-				return nil, triSpanCorrupt("zero-count bucket %d of edge %d", j, i)
-			}
-			hi := lo + width
-			if hi < lo {
-				return nil, triSpanCorrupt("bucket %d of edge %d overflows", j, i)
-			}
-			sp := TriSpan{Lo: lo, Hi: hi}
-			if j > 0 && !(prevSp.Lo < lo || (prevSp.Lo == lo && prevSp.Hi < hi)) {
-				return nil, triSpanCorrupt("bucket %d of edge %d out of order", j, i)
-			}
-			prevSp = sp
-			b[sp] = n
-		}
-		st.Supp[k] = b
-	}
-	if d.Remaining() != 0 {
-		return nil, triSpanCorrupt("%d trailing bytes", d.Remaining())
-	}
-	return st, nil
 }

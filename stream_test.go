@@ -69,7 +69,7 @@ func TestStreamQuickstart(t *testing.T) {
 
 	// The materialized window snapshot agrees with a full survey.
 	g2 := s.Materialize()
-	if res := tripoll.Count(g2, tripoll.SurveyOptions{}); res.Triangles != 1 {
+	if res := mustRun(t, g2, tripoll.SurveyOptions{}, nil); res.Triangles != 1 {
 		t.Fatalf("materialized window count = %d, want 1", res.Triangles)
 	}
 }

@@ -28,13 +28,13 @@
 //	    gg := b.Build(r)
 //	    if r.ID() == 0 { g = gg }
 //	})
-//	res := tripoll.Count(g, tripoll.SurveyOptions{})
+//	res, _ := tripoll.Run(g, tripoll.SurveyOptions{}, nil)
 //	fmt.Println(res.Triangles) // 1
 //
 // Surveys can carry a SurveyPlan — edge-metadata predicates, temporal
 // δ-windows and sliding time windows compiled into filters that prune
 // communication before it leaves the rank (predicate pushdown; DESIGN.md
-// §7). See NewTemporalPlan, WindowedCount and friends.
+// §7). See NewTemporalPlan and Run.
 //
 // Every stock survey is also available as an Analysis value; Run fuses any
 // number of them into a single traversal, so asking k questions costs one

@@ -1,7 +1,6 @@
 package tripoll
 
 import (
-	"tripoll/internal/graph"
 	"tripoll/internal/truss"
 )
 
@@ -96,13 +95,3 @@ func WindowSpanTruss[VM any](g *Graph[VM, uint64], k int, spans []TrussWindow, o
 	}
 	return out.Outcome().(SpanTrussResult), nil
 }
-
-// DecodeTrussIndexSnapshot parses a TrussIndex store snapshot (the TPTI1
-// codec); corrupt input returns an error wrapping ErrTrussIndexCorrupt,
-// never a panic.
-func DecodeTrussIndexSnapshot(data []byte) (*graph.TriSpanStore, error) {
-	return graph.DecodeTriSpanSnapshot(data)
-}
-
-// ErrTrussIndexCorrupt is the base class of truss-index snapshot damage.
-var ErrTrussIndexCorrupt = graph.ErrTriSpanCorrupt
