@@ -146,5 +146,6 @@ func buildTemporalReplica(w *ygm.World, first, count int) *graph.DODGr[tripoll.U
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }

@@ -318,6 +318,7 @@ func buildTemporalReplica(w *tripoll.World, edges []tripoll.TemporalEdge, first,
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }
 
@@ -376,9 +377,9 @@ type serverConfig struct {
 // server is the HTTP front end over one Engine. Job handles are retained
 // for polling until the retention cap pushes finished ones out.
 type server struct {
-	eng    *tripoll.Engine[tripoll.Unit, uint64]
-	info   map[string]tripoll.GraphInfo
-	mux    *http.ServeMux
+	eng       *tripoll.Engine[tripoll.Unit, uint64]
+	info      map[string]tripoll.GraphInfo
+	mux       *http.ServeMux
 	world     *tripoll.World
 	cluster   *dist.Cluster
 	lim       *limiter

@@ -78,6 +78,7 @@ func main() {
 			g = gg
 		}
 	})
+	b.Close()
 
 	var triples map[fqdnTriple]uint64
 	res, err := tripoll.Run(g, tripoll.SurveyOptions{}, nil, fqdnTripleAnalysis().Bind(&triples))

@@ -49,6 +49,7 @@ func main() {
 			g = gg
 		}
 	})
+	b.Close()
 
 	// Alg. 3 as an analysis value: distinctLabels=true applies the guard
 	// that the three vertex labels be pairwise distinct.

@@ -45,6 +45,7 @@ func main() {
 			fmt.Printf("  rank %d found triangle (%d, %d, %d)\n", r.ID(), t.P, t.Q, t.R)
 		})
 	s.Run()
+	s.Close() // release the survey's handlers on the world
 	fmt.Printf("callback firings per rank: %v\n", perRank)
 
 	// Services answering many questions hold a query Engine instead:

@@ -44,6 +44,7 @@ func WedgeQueryCount[VM, EM any](g *graph.DODGr[VM, EM]) Result {
 			counts[r.ID()]++
 		}
 	})
+	defer w.ReleaseHandlers(h)
 	w.ResetStats()
 	start := time.Now()
 	w.Parallel(func(r *ygm.Rank) {
@@ -102,6 +103,7 @@ func ReplicatedCount[VM, EM any](g *graph.DODGr[VM, EM]) Result {
 		}
 		replicas[r.ID()][id] = rv
 	})
+	defer w.ReleaseHandlers(h)
 	w.ResetStats()
 	start := time.Now()
 
@@ -230,6 +232,7 @@ func EdgeCentricCount[VM, EM any](g *graph.DODGr[VM, EM]) Result {
 		}
 		states[r.ID()].cache[id] = adj
 	})
+	defer w.ReleaseHandlers(hRep, hReq, hEdge)
 
 	w.ResetStats()
 	start := time.Now()

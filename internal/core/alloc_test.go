@@ -75,3 +75,27 @@ func TestStreamIngestAllocBudget(t *testing.T) {
 		t.Fatal("stream counted no triangles; the workload did not exercise the survey path")
 	}
 }
+
+// TestPushPullSurveyReuseAllocBudget pins the negotiation arenas: a reused
+// Push-Pull Survey truncates and refills its park records, groups, grants
+// and decline flags in place, so a warm Run allocates only the runtime's
+// fixed per-region cost — not one slice per proposed target, as the
+// per-target maps did.
+func TestPushPullSurveyReuseAllocBudget(t *testing.T) {
+	w, g := buildMeta(t, 4, randomEdges(17, 300, 4000), ygm.Options{})
+	defer w.Close()
+	s := NewSurvey(g, Options{Mode: PushPull}, nil)
+	defer s.Close()
+	var res Result
+	for i := 0; i < 3; i++ {
+		res = s.Run()
+	}
+	if res.PullsGranted == 0 || res.Push.Messages == 0 {
+		t.Fatalf("workload exercises no pulls or pushes: %+v", res)
+	}
+	avg := testing.AllocsPerRun(20, func() { s.Run() })
+	const budget = 50
+	if avg > budget {
+		t.Errorf("warm Push-Pull Run: %.1f allocs/op, budget %d", avg, budget)
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"tripoll/internal/serialize"
@@ -39,12 +41,36 @@ type reqRef struct {
 	pos  int32
 }
 
-// kernelRank is one rank's traversal state, reset at the start of each run.
+// parkRec is one parked wedge source and the group of its target.
+type parkRec struct {
+	group int32
+	ref   reqRef
+}
+
+// grant is one pull grant received at a target's owner: the target's local
+// index and the source rank that proposed it.
+type grant struct {
+	vi, src int32
+}
+
+// kernelRank is one rank's traversal state. The negotiation lives in flat,
+// pointer-free arenas that each run truncates and refills: a target's
+// first park opens its group, and groups number targets in first-park
+// order, so proposes go out in a fixed order with no map iteration.
 type kernelRank struct {
-	targVol  map[uint64]uint64   // target vertex → proposed push volume
-	parked   map[uint64][]reqRef // target vertex → wedge sources awaiting its pull
-	declined map[uint64]bool     // target vertex → owner declined the pull
-	grants   map[int32][]int32   // local target index → granting source ranks
+	group    map[uint64]int32 // target vertex → group
+	targets  []uint64         // group → target vertex
+	vols     []uint64         // group → proposed push volume
+	declined []bool           // group → owner declined the pull
+	recs     []parkRec        // parked wedge sources, in park order
+
+	// The parked wedge sources grouped by target: group g's sources are
+	// parked[start[g]:start[g+1]], in park order.
+	start  []int32
+	parked []reqRef
+
+	grants []grant // pull grants received, grouped by target before the pull
+	srcs   []int32 // one granted target's source ranks, handed to view.pull
 
 	// negotiated is set once the dry run has walked the wedge sources.
 	negotiated bool
@@ -59,18 +85,85 @@ type kernelRank struct {
 	scratchKeep []int32 // surviving-candidate indices of the batch being built
 }
 
+// reset empties the rank's state for a new run, keeping every arena's
+// capacity: repeated surveys and long-lived streams would otherwise pay
+// fresh allocations per rank per run.
+func (k *kernelRank) reset() {
+	clear(k.group)
+	*k = kernelRank{
+		group: k.group, targets: k.targets[:0], vols: k.vols[:0], declined: k.declined[:0],
+		recs: k.recs[:0], start: k.start[:0], parked: k.parked[:0], grants: k.grants[:0],
+		srcs: k.srcs[:0], scratchKeep: k.scratchKeep,
+	}
+}
+
+// reserve sizes the park arenas for up to n wedge sources, once: a view
+// calls it before its dry run with its source count.
+func (k *kernelRank) reserve(n int) {
+	if cap(k.recs) < n {
+		k.recs = make([]parkRec, 0, n)
+		k.parked = make([]reqRef, 0, n)
+	}
+}
+
 // park records a wedge source that would push vol candidates to target q;
 // a source with none closes no triangle and is not negotiated.
 func (k *kernelRank) park(q, vol uint64, ref reqRef) {
-	if vol > 0 {
-		k.targVol[q] += vol
-		k.parked[q] = append(k.parked[q], ref)
+	if vol == 0 {
+		return
 	}
+	g, ok := k.group[q]
+	if !ok {
+		g = int32(len(k.targets))
+		k.group[q] = g
+		k.targets = append(k.targets, q)
+		k.vols = append(k.vols, 0)
+	}
+	k.vols[g] += vol
+	k.recs = append(k.recs, parkRec{group: g, ref: ref})
+}
+
+// groupParked counting-sorts the park records by group into parked and
+// sizes declined; it runs before the first propose leaves the rank.
+func (k *kernelRank) groupParked() {
+	n := len(k.targets)
+	k.declined = append(k.declined[:0], make([]bool, n)...)
+	k.start = append(k.start[:0], make([]int32, n+1)...)
+	for _, rec := range k.recs {
+		k.start[rec.group]++
+	}
+	sum := int32(0)
+	for g := range n {
+		sum, k.start[g] = sum+k.start[g], sum
+	}
+	k.parked = k.parked[:len(k.recs)]
+	for _, rec := range k.recs {
+		k.parked[k.start[rec.group]] = rec.ref
+		k.start[rec.group]++
+	}
+	// start[g] now ends group g; shift it to begin group g.
+	copy(k.start[1:], k.start[:n])
+	k.start[0] = 0
+}
+
+// parkedFor returns the wedge sources parked under target q.
+func (k *kernelRank) parkedFor(q uint64) []reqRef {
+	g, ok := k.group[q]
+	if !ok {
+		return nil
+	}
+	return k.parked[k.start[g]:k.start[g+1]]
 }
 
 // pushes reports whether the wedge sources targeting q push: always under
 // Push-Only, and under Push-Pull when q's owner declined the pull.
-func (k *kernelRank) pushes(q uint64) bool { return !k.negotiated || k.declined[q] }
+func (k *kernelRank) pushes(q uint64) bool {
+	if !k.negotiated {
+		return true
+	}
+	g, ok := k.group[q]
+	return ok && k.declined[g]
+}
 
 // pruned counts a wedge source the plan eliminates, with its n candidates.
 // The dry run and the push both walk every source; the first counts it.
@@ -104,8 +197,7 @@ func (k *kernel) init(w *ygm.World, owner func(uint64) int, opts Options, view w
 	k.w, k.owner, k.view, k.mode, k.pullFactor = w, owner, view, opts.Mode, opts.PullFactor
 	k.ranks = make([]kernelRank, w.Size())
 	for i := range k.ranks {
-		k.ranks[i] = kernelRank{targVol: map[uint64]uint64{}, parked: map[uint64][]reqRef{},
-			declined: map[uint64]bool{}, grants: map[int32][]int32{}}
+		k.ranks[i].group = map[uint64]int32{}
 	}
 	k.hPropose = w.RegisterHandler(k.onPropose)
 	k.hDecline = w.RegisterHandler(k.onDecline)
@@ -115,14 +207,7 @@ func (k *kernel) init(w *ygm.World, owner func(uint64) int, opts Options, view w
 // *prev) to res and folding the per-rank counters into it.
 func (k *kernel) run(res *Result, prev *ygm.Stats) {
 	for i := range k.ranks {
-		// Keep the maps: repeated surveys and long-lived streams would
-		// otherwise pay fresh map allocations per rank per run.
-		st := &k.ranks[i]
-		clear(st.targVol)
-		clear(st.parked)
-		clear(st.declined)
-		clear(st.grants)
-		*st = kernelRank{targVol: st.targVol, parked: st.parked, declined: st.declined, grants: st.grants, scratchKeep: st.scratchKeep}
+		k.ranks[i].reset()
 	}
 	if k.mode == PushPull {
 		k.phase(prev, &res.DryRun, k.dryRun)
@@ -177,11 +262,12 @@ func (k *kernel) account(prev *ygm.Stats, dst *PhaseStats, start time.Time) {
 func (k *kernel) dryRun(r *ygm.Rank) {
 	st := &k.ranks[r.ID()]
 	k.view.dryRun(r, st)
+	st.groupParked()
 	st.negotiated = true
-	for q, vol := range st.targVol {
+	for g, q := range st.targets {
 		e := r.Begin(k.owner(q), k.hPropose)
 		e.PutUvarint(q)
-		e.PutUvarint(vol)
+		e.PutUvarint(st.vols[g])
 		e.PutUvarint(uint64(r.ID()))
 		r.Commit(e)
 	}
@@ -200,7 +286,7 @@ func (k *kernel) onPropose(r *ygm.Rank, d *serialize.Decoder) {
 	st := &k.ranks[r.ID()]
 	vi, n := k.view.pullLen(r, q)
 	if float64(n)*k.pullFactor < float64(vol) {
-		st.grants[vi] = append(st.grants[vi], int32(src))
+		st.grants = append(st.grants, grant{vi: vi, src: int32(src)})
 		st.numGrants++
 		return
 	}
@@ -214,13 +300,30 @@ func (k *kernel) onDecline(r *ygm.Rank, d *serialize.Decoder) {
 	if d.Err() != nil {
 		panic("core: corrupt decline message: " + d.Err().Error())
 	}
-	k.ranks[r.ID()].declined[q] = true
+	st := &k.ranks[r.ID()]
+	g, ok := st.group[q]
+	if !ok {
+		panic("core: decline for a target this rank never proposed")
+	}
+	st.declined[g] = true
 }
 
-// pull (§4.4) ships each granted adjacency once per (vertex, source rank).
+// pull (§4.4) ships each granted adjacency once per (vertex, source rank),
+// in (vertex, source rank) order.
 func (k *kernel) pull(r *ygm.Rank) {
 	st := &k.ranks[r.ID()]
-	for vi, srcs := range st.grants {
-		k.view.pull(r, st, vi, srcs)
+	slices.SortFunc(st.grants, func(a, b grant) int {
+		if a.vi != b.vi {
+			return cmp.Compare(a.vi, b.vi)
+		}
+		return cmp.Compare(a.src, b.src)
+	})
+	for i := 0; i < len(st.grants); {
+		vi := st.grants[i].vi
+		st.srcs = st.srcs[:0]
+		for ; i < len(st.grants) && st.grants[i].vi == vi; i++ {
+			st.srcs = append(st.srcs, st.grants[i].src)
+		}
+		k.view.pull(r, st, vi, st.srcs)
 	}
 }

@@ -51,11 +51,9 @@ import (
 //
 // Construction, like NewSurvey, registers handlers and must happen outside
 // parallel regions; Ingest/Advance/Snapshot are collective and must also
-// be called outside parallel regions. Epoch rebuilds register fresh
-// handler slots on the world (a Survey and a Builder per rebuild), so
-// long-lived streams should prefer invertible analyses and chronological
-// input; the ~8 leaked registry slots per rebuild are the price of the
-// fallback.
+// be called outside parallel regions. Materialize and epoch rebuilds
+// register a Builder (and a rebuild a Survey) for their duration and
+// release them before returning.
 
 // StreamOptions configures a stream.
 type StreamOptions[EM any] struct {
@@ -490,6 +488,7 @@ func (s *Stream[VM, EM]) seedFrom(g *graph.DODGr[VM, EM]) {
 		r.Barrier() // all seeds delivered before sealing
 		sh.Seal()
 	})
+	s.w.ReleaseHandlers(hSeed)
 	// Initial observe: one fused traversal of the seed graph, normalized to
 	// the stream's id-ordered triangle presentation.
 	sv, err := NewPlannedSurvey(g, s.opts.Survey, s.plan, s.fullObserveCallback())
@@ -497,6 +496,7 @@ func (s *Stream[VM, EM]) seedFrom(g *graph.DODGr[VM, EM]) {
 		// plan was validated by OpenStream; unreachable
 		panic("core: stream seed survey: " + err.Error())
 	}
+	defer sv.Close()
 	s.seed = sv.Run()
 	s.triangles = s.seed.Triangles
 	s.sinkCommit()
@@ -803,7 +803,9 @@ func (s *Stream[VM, EM]) baseResult() Result {
 func (s *Stream[VM, EM]) dryRun(r *ygm.Rank, k *kernelRank) {
 	sh := s.shards[r.ID()]
 	f := &s.filters
-	for _, ref := range s.state[r.ID()].delta {
+	delta := s.state[r.ID()].delta
+	k.reserve(len(delta))
+	for _, ref := range delta {
 		v := &sh.Verts[ref.vert]
 		ent := &v.Adj[ref.pos]
 		n := candCount(v.Adj, ent.Target)
@@ -1037,7 +1039,7 @@ func (s *Stream[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 
 	dense := buildPullBitset(&st.pullBits, pulled)
 	f := &s.filters
-	for _, ref := range k.parked[b] {
+	for _, ref := range k.parkedFor(b) {
 		v := &sh.Verts[ref.vert]
 		a, emAB := v.ID, v.Adj[ref.pos].EMeta
 		eKey := pairKey(a, b)
@@ -1110,6 +1112,7 @@ func (s *Stream[VM, EM]) Materialize() *graph.DODGr[VM, EM] {
 			g2 = gg
 		}
 	})
+	b.Close()
 	return g2
 }
 
@@ -1133,6 +1136,7 @@ func (s *Stream[VM, EM]) rebuild(res *Result, prev *ygm.Stats) error {
 	if err != nil {
 		return err
 	}
+	defer sv.Close()
 	r2 := sv.Run() // resets world stats; phases accounted inside
 	*prev = s.w.Stats()
 	r2.Analyses, r2.Delta, r2.DeltaEdges, r2.Rebuilt, r2.Mutate = res.Analyses, true, res.DeltaEdges, true, res.Mutate

@@ -107,7 +107,8 @@ type Result struct {
 }
 
 // Survey is a reusable triangle survey over one DODGr. Construct outside a
-// parallel region (handlers are registered); Run as many times as desired.
+// parallel region (handlers are registered); Run as many times as desired,
+// then Close to release the handlers and, with them, the survey's state.
 // It is the kernel's full-traversal view: every ⟨p,q⟩ with q ∈ Adj⁺(p) is a
 // wedge source, the <+-suffix of Adj⁺ᵐ(p) after q is its candidate list,
 // and every triangle goes to the callback.
@@ -119,6 +120,7 @@ type Survey[VM, EM any] struct {
 	k    kernel
 
 	hPush, hPull ygm.HandlerID
+	closed       bool
 
 	state []surveyRank[VM, EM]
 }
@@ -140,7 +142,8 @@ type surveyRank[VM, EM any] struct {
 }
 
 // NewSurvey prepares a survey of g invoking cb on every triangle. cb may be
-// nil for pure counting (Result.Triangles is maintained either way).
+// nil for pure counting (Result.Triangles is maintained either way). The
+// survey holds four handlers on g's world until Close.
 func NewSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, cb Callback[VM, EM]) *Survey[VM, EM] {
 	s := &Survey[VM, EM]{g: g, w: g.World(), cb: cb}
 	s.state = make([]surveyRank[VM, EM], s.w.Size())
@@ -163,6 +166,20 @@ func NewPlannedSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Pl
 		s.plan = plan.compile()
 	}
 	return s, nil
+}
+
+// Close releases the survey's handlers, so the world no longer reaches the
+// survey and the next registrations reuse its ids. Like construction it
+// runs outside parallel regions, and every process of a multi-process
+// world closes its copy at the same point. Closing twice is a no-op; Run
+// after Close is not allowed.
+func (s *Survey[VM, EM]) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	// Reverse registration order: the next survey gets the same ids.
+	s.w.ReleaseHandlers(s.hPull, s.k.hDecline, s.k.hPropose, s.hPush)
 }
 
 // Run executes the survey collectively and returns aggregate statistics.
@@ -242,6 +259,11 @@ func (s *Survey[VM, EM]) reduceResult(res *Result) {
 func (s *Survey[VM, EM]) dryRun(r *ygm.Rank, k *kernelRank) {
 	f := &s.plan
 	verts := s.g.LocalVertices(r)
+	sources := 0
+	for vi := range verts {
+		sources += max(len(verts[vi].Adj)-1, 0)
+	}
+	k.reserve(sources)
 	for vi := range verts {
 		p := &verts[vi]
 		for j := 0; j+1 < len(p.Adj); j++ {
@@ -513,7 +535,7 @@ func (s *Survey[VM, EM]) onPull(r *ygm.Rank, d *serialize.Decoder) {
 
 	f := &s.plan
 	verts := s.g.LocalVertices(r)
-	for _, ref := range k.parked[qid] {
+	for _, ref := range k.parkedFor(qid) {
 		p := &verts[ref.vert]
 		suffix := p.Adj[ref.pos+1:]
 		metaPQ := p.Adj[ref.pos].EMeta

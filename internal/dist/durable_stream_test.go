@@ -155,17 +155,6 @@ func TestCrossProcessDurableStream(t *testing.T) {
 		t.Fatalf("OpenDurableStream (ref): %v", err)
 	}
 
-	// Byte counts are excluded from this comparison (unlike the static
-	// equivalence test): a message's handler-id varint width depends on how
-	// many handlers its world has registered over its lifetime, and the
-	// never-restarted reference accumulates registrations the recovered
-	// group does not. Message counts and canonical values remain exact.
-	stripBytes := func(a answer) answer {
-		for i := range a.Traffic {
-			a.Traffic[i][1] = 0
-		}
-		return a
-	}
 	check := func(step string, multi *durableWorld) {
 		t.Helper()
 		re, _ := ref.Epoch("g")
@@ -176,7 +165,7 @@ func TestCrossProcessDurableStream(t *testing.T) {
 		want := submitAll(t, ref, specs)
 		got := submitAll(t, multi.e, specs)
 		for i := range specs {
-			if stripBytes(want[i]) != stripBytes(got[i]) {
+			if want[i] != got[i] {
 				t.Errorf("%s: spec %q diverged at epoch %d:\n  1-process: %+v\n  %d-process: %+v",
 					step, specs[i].Analysis, re, want[i], 2, got[i])
 			}

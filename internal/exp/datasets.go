@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 
+	"tripoll/internal/core"
 	"tripoll/internal/gen"
 	"tripoll/internal/graph"
 	"tripoll/internal/rmat"
@@ -58,6 +59,13 @@ func Datasets(cfg Config) []Dataset {
 	}
 }
 
+// countSurvey runs one callback-free survey of g and releases it.
+func countSurvey[VM, EM any](g *graph.DODGr[VM, EM], opts core.Options) core.Result {
+	s := core.NewSurvey(g, opts, nil)
+	defer s.Close()
+	return s.Run()
+}
+
 // BuildUnit constructs a metadata-free DODGr (boolean-style dummy metadata
 // replaced by the zero-byte Unit — §5.3) over nranks ranks.
 func BuildUnit(cfg Config, nranks int, edges [][2]uint64) (*ygm.World, *graph.DODGr[serialize.Unit, serialize.Unit]) {
@@ -79,6 +87,7 @@ func BuildUnitOn(w *ygm.World, edges [][2]uint64) *graph.DODGr[serialize.Unit, s
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }
 
@@ -104,6 +113,7 @@ func BuildTemporal(cfg Config, nranks int, edges []graph.TemporalEdge) (*ygm.Wor
 			g = gg
 		}
 	})
+	b.Close()
 	return w, g
 }
 
@@ -125,6 +135,7 @@ func BuildFQDN(cfg Config, nranks int, wh *gen.WebHost) (*ygm.World, *graph.DODG
 			g = gg
 		}
 	})
+	b.Close()
 	return w, g
 }
 
@@ -166,6 +177,7 @@ func BuildDegreeMeta(cfg Config, nranks int, edges [][2]uint64) (*ygm.World, *gr
 			g = gg
 		}
 	})
+	b.Close()
 	return w, g
 }
 
@@ -186,5 +198,6 @@ func BuildRMATRanged(cfg Config, nranks int, p rmat.Params) (*ygm.World, *graph.
 			g = gg
 		}
 	})
+	b.Close()
 	return w, g
 }

@@ -26,7 +26,7 @@ func Table2(cfg Config) *Report {
 		"Graph", "system", "runtime", "comm volume", "messages", "triangles")
 	for _, ds := range Datasets(cfg) {
 		w, g := BuildUnit(cfg, n, ds.Edges)
-		want := core.NewSurvey(g, core.Options{Mode: core.PushPull}, nil).Run()
+		want := countSurvey(g, core.Options{Mode: core.PushPull})
 		tb.AddRow(ds.Name, "TriPoll (push-pull)",
 			stats.FormatDuration(want.Total),
 			stats.FormatBytes(want.DryRun.Bytes+want.Push.Bytes+want.Pull.Bytes),
@@ -75,7 +75,7 @@ func AblationPullFactor(cfg Config) *Report {
 		"pull factor", "pulls granted", "comm volume", "runtime", "triangles")
 	var want uint64
 	for _, pf := range []float64{1e-9, 0.25, 0.5, 1.0, 2.0, 4.0, 1e9} {
-		res := core.NewSurvey(g, core.Options{Mode: core.PushPull, PullFactor: pf}, nil).Run()
+		res := countSurvey(g, core.Options{Mode: core.PushPull, PullFactor: pf})
 		if want == 0 {
 			want = res.Triangles
 		} else if res.Triangles != want {
@@ -103,7 +103,7 @@ func AblationBuffer(cfg Config) *Report {
 	for _, buf := range []int{256, 4 << 10, 64 << 10, 1 << 20} {
 		w := ygm.MustWorld(4, ygm.Options{BufferBytes: buf, Transport: cfg.Transport})
 		g := BuildUnitOn(w, ds.Edges)
-		res := core.NewSurvey(g, core.Options{Mode: core.PushOnly}, nil).Run()
+		res := countSurvey(g, core.Options{Mode: core.PushOnly})
 		st := w.Stats()
 		perBatch := float64(st.MessagesSent) / float64(maxI64(st.BatchesSent, 1))
 		tb.AddRow(stats.FormatBytes(int64(buf)),
@@ -131,7 +131,7 @@ func AblationTransport(cfg Config) *Report {
 		c := cfg
 		c.Transport = tk
 		w, g := BuildUnit(c, 4, ds.Edges)
-		res := core.NewSurvey(g, core.Options{}, nil).Run()
+		res := countSurvey(g, core.Options{})
 		tb.AddRow(tk.String(), stats.FormatDuration(res.Total),
 			stats.FormatBytes(res.DryRun.Bytes+res.Push.Bytes+res.Pull.Bytes),
 			stats.FormatCount(res.Triangles))
@@ -170,7 +170,7 @@ func AblationGrouping(cfg Config) *Report {
 		w := ygm.MustWorld(n, ygm.Options{GroupSize: gs, BufferBytes: 8 << 10, Transport: cfg.Transport})
 		g := BuildUnitOn(w, ds.Edges)
 		w.ResetStats()
-		res := core.NewSurvey(g, core.Options{Mode: core.PushOnly}, nil).Run()
+		res := countSurvey(g, core.Options{Mode: core.PushOnly})
 		st := w.Stats()
 		if want == 0 {
 			want = res.Triangles
@@ -224,7 +224,8 @@ func AblationPartition(cfg Config) *Report {
 				g = gg
 			}
 		})
-		res := core.NewSurvey(g, core.Options{Mode: core.PushPull}, nil).Run()
+		b.Close()
+		res := countSurvey(g, core.Options{Mode: core.PushPull})
 		counts = append(counts, res.Triangles)
 		tb.AddRow(part.Name(),
 			fmt.Sprintf("%.2f", res.WorkBalance),

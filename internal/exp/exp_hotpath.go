@@ -131,6 +131,8 @@ func HotPath(cfg Config) *Report {
 		rep.metricM("hotpath/"+mode.name+"/run_copyencode", float64(brRef.NsPerOp()), "ns/op", extra, mRef)
 		tb.AddRow("  copy-encode ref", stats.FormatDuration(time.Duration(brRef.NsPerOp())),
 			fmt.Sprintf("%d", brRef.AllocsPerOp()), stats.FormatBytes(brRef.AllocedBytesPerOp()), "")
+		sRef.Close()
+		s.Close()
 	}
 
 	// Stream ingest: a temporal stream warmed with hotWarmBatch batches,
@@ -146,6 +148,7 @@ func HotPath(cfg Config) *Report {
 			gS = gg
 		}
 	})
+	bld.Close()
 	var count uint64
 	st, err := core.OpenStream(gS,
 		core.StreamOptions[uint64]{Survey: core.Options{Mode: core.PushOnly}, MergeEdgeMeta: func(a, b uint64) uint64 {

@@ -184,6 +184,7 @@ func buildTemporalSpan(w *ygm.World, edges []graph.TemporalEdge) *graph.DODGr[se
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }
 

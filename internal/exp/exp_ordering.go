@@ -58,10 +58,11 @@ func AblationOrdering(cfg Config) *Report {
 					g = gg
 				}
 			})
+			b.Close()
 			buildM := buildSpan.End()
 			buildTime := time.Since(buildStart)
 			surveySpan := BeginMeasure()
-			res := core.NewSurvey(g, core.Options{Mode: core.PushPull}, nil).Run()
+			res := countSurvey(g, core.Options{Mode: core.PushPull})
 			surveyM := surveySpan.End()
 			msgs := res.DryRun.Messages + res.Push.Messages + res.Pull.Messages
 			byOrd[ord] = row{wedges: g.NumWedges(), triangles: res.Triangles}

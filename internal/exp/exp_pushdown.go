@@ -105,6 +105,7 @@ func AblationPushdown(cfg Config) *Report {
 					}
 				})
 				res := s.Run()
+				s.Close()
 				var m uint64
 				for _, c := range matched {
 					m += c

@@ -18,7 +18,7 @@ func Table1(cfg Config) *Report {
 	tb := stats.NewTable("", "Graph", "stands in for", "|V|", "|E|", "|T|", "dmax", "dmax+")
 	for _, ds := range Datasets(cfg) {
 		w, g := BuildUnit(cfg, 4, ds.Edges)
-		res := core.NewSurvey(g, core.Options{}, nil).Run()
+		res := countSurvey(g, core.Options{})
 		tb.AddRow(ds.Name, ds.Analog,
 			stats.FormatCount(g.NumVertices()),
 			stats.FormatCount(g.NumDirectedEdges()),
@@ -54,7 +54,7 @@ func Fig4(cfg Config) *Report {
 		var volumes []int64
 		for _, n := range cfg.rankSweep() {
 			w, g := BuildUnit(cfg, n, ds.Edges)
-			res := core.NewSurvey(g, core.Options{Mode: core.PushPull}, nil).Run()
+			res := countSurvey(g, core.Options{Mode: core.PushPull})
 			if n == 1 {
 				baseWork = res.MaxRankWedgeChecks
 				firstCount = res.Triangles
@@ -116,7 +116,7 @@ func Fig5(cfg Config) *Report {
 		}
 		p := rmat.Params{Scale: s, Seed: 500, Scramble: true}
 		w, g := BuildRMATRanged(cfg, n, p)
-		res := core.NewSurvey(g, core.Options{Mode: core.PushPull}, nil).Run()
+		res := countSurvey(g, core.Options{Mode: core.PushPull})
 		rate := float64(g.NumWedges()) / (float64(n) * res.Total.Seconds())
 		vol := res.DryRun.Bytes + res.Push.Bytes + res.Pull.Bytes
 		bpw := float64(vol) / float64(max64(g.NumWedges(), 1))
@@ -163,7 +163,7 @@ func Fig9(cfg Config) *Report {
 		for _, mode := range []core.Mode{core.PushOnly, core.PushPull} {
 			// Dummy metadata: plain count.
 			wU, gU := BuildUnit(cfg, n, edges)
-			resU := core.NewSurvey(gU, core.Options{Mode: mode}, nil).Run()
+			resU := countSurvey(gU, core.Options{Mode: mode})
 			rateU := float64(gU.NumWedges()) / (float64(n) * resU.Total.Seconds())
 			tb.AddRow(fmt.Sprintf("%d", n), mode.String(), "dummy",
 				stats.FormatDuration(resU.Total), stats.FormatCount(uint64(rateU)), stats.FormatCount(resU.Triangles))
@@ -226,7 +226,7 @@ func Table4(cfg Config) *Report {
 			}
 			w, g := BuildUnit(cfg, n, d.Edges)
 			for _, mode := range []core.Mode{core.PushOnly, core.PushPull} {
-				res := core.NewSurvey(g, core.Options{Mode: mode}, nil).Run()
+				res := countSurvey(g, core.Options{Mode: mode})
 				bytes := res.DryRun.Bytes + res.Push.Bytes + res.Pull.Bytes
 				msgs := res.DryRun.Messages + res.Push.Messages + res.Pull.Messages
 				tb.AddRow(d.Name, fmt.Sprintf("%d", n), mode.String(),

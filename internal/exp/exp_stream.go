@@ -164,6 +164,7 @@ func AblationStream(cfg Config) *Report {
 						gFull = gg
 					}
 				})
+				bld.Close()
 				buildStats := wFull.Stats()
 				var fullAns answers
 				fres, err := core.Run(gFull, opts, plan,

@@ -142,6 +142,7 @@ func Fig8(cfg Config) *Report {
 		counter.Inc(r, fqdnTriple{First: a, Second: b, Third: c})
 	})
 	res := s.Run()
+	s.Close()
 	var triples map[fqdnTriple]uint64
 	w.Parallel(func(r *ygm.Rank) {
 		counter.Barrier(r)

@@ -16,6 +16,7 @@ import (
 //	    for each locally produced vertex { b.SetVertexMeta(r, v, vm) }
 //	    g = b.Build(r)                                  // collective
 //	})
+//	b.Close()                                           // outside regions
 //
 // Build runs the construction pipeline of §4.2:
 //
@@ -43,7 +44,8 @@ type Builder[VM, EM any] struct {
 	hPeel   ygm.HandlerID
 	hOrient ygm.HandlerID
 
-	built *DODGr[VM, EM] // assembled by Build; identical pointer on all ranks
+	built  *DODGr[VM, EM] // assembled by Build; identical pointer on all ranks
+	closed bool
 }
 
 // BuilderOptions configures construction.
@@ -88,6 +90,8 @@ type ingestState[VM, EM any] struct {
 }
 
 // NewBuilder creates a builder; must be called outside parallel regions.
+// The builder holds four handlers on w, and through them the graph it
+// builds, until Close.
 func NewBuilder[VM, EM any](w *ygm.World, vm serialize.Codec[VM], em serialize.Codec[EM], opts BuilderOptions[EM]) *Builder[VM, EM] {
 	if opts.Partitioner == nil {
 		opts.Partitioner = HashPartition{}
@@ -153,6 +157,19 @@ func NewBuilder[VM, EM any](w *ygm.World, vm serialize.Codec[VM], em serialize.C
 		}
 	})
 	return b
+}
+
+// Close releases the builder's handlers once Build has returned on every
+// rank. Build runs inside a parallel region, where handlers cannot be
+// released, so the owner calls Close after the region; every process of a
+// multi-process world closes its builder at the same point. Closing twice
+// is a no-op.
+func (b *Builder[VM, EM]) Close() {
+	if b.closed {
+		return
+	}
+	b.closed = true
+	b.w.ReleaseHandlers(b.hOrient, b.hPeel, b.hVMeta, b.hEdge)
 }
 
 // AddEdge inserts the undirected edge {u, v} with metadata em. Self-loops

@@ -255,17 +255,16 @@ func (t *tcpTransport) readLoop(conn net.Conn, to int) {
 		}
 		if size == 0 {
 			// An empty batch carries no messages: nothing to read, and no
-			// reason to cycle a pooled buffer through the mailbox for it.
+			// reason to cycle a free buffer through the mailbox for it.
 			continue
 		}
 		batch := t.w.getBatch()
 		if cap(batch) < int(size) {
-			// Swap the undersized pooled buffer for a right-sized one; it
-			// flows back into the pool after processing, so the pool grows
-			// to the frame-size high-water mark and steady-state receives
-			// stop allocating.
+			// Swap the undersized free buffer for a right-sized one; it
+			// joins the world's free list after processing, so
+			// steady-state receives stop allocating.
 			t.w.putBatch(batch)
-			batch = make([]byte, size, int(size)+4<<10)
+			batch = make([]byte, size, int(size)+batchSlack)
 		} else {
 			batch = batch[:size]
 		}

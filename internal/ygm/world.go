@@ -11,7 +11,9 @@ import (
 
 // HandlerID names a registered remote procedure. Registration order is
 // deterministic and shared by all ranks, mirroring how YGM resolves lambda
-// offsets across address spaces.
+// offsets across address spaces. Released ids are reused last-released
+// first, so every process that registers and releases in the same order
+// assigns the same ids.
 type HandlerID uint32
 
 // Handler is the procedure executed at the destination rank. It runs on the
@@ -135,8 +137,9 @@ type World struct {
 	distQuiet bool // leader-written verdict of the last link Quiesce round
 
 	mu           sync.Mutex
-	handlers     []Handler
+	handlers     []Handler // nil at released ids
 	handlerNames []string
+	freeIDs      []HandlerID // released ids, reused last-in first-out
 	inRegion     atomic.Bool
 
 	// Message counters for termination detection, sharded per rank (each
@@ -147,10 +150,11 @@ type World struct {
 	barrier *cyclicBarrier
 	shared  []any // collective exchange slots, one per rank
 
-	batchPool sync.Pool
-	boxPool   sync.Pool // spare *[]byte headers so putBatch never re-boxes
-	transport transport
-	hForward  HandlerID
+	batchMu     sync.Mutex
+	batches     [][]byte // idle batch buffers, newest last
+	batchesMade int
+	transport   transport
+	hForward    HandlerID
 
 	failed   atomic.Bool
 	failedMu sync.Mutex
@@ -217,10 +221,7 @@ func newWorld(n int, opts Options, topo *Topology) (*World, error) {
 		barrier: newCyclicBarrier(local),
 		shared:  make([]any, n),
 		slots:   make([]counterSlot, n),
-	}
-	w.batchPool.New = func() any {
-		b := make([]byte, 0, opts.BufferBytes+4<<10)
-		return &b
+		batches: make([][]byte, 0, maxFreeBatchBytes/(opts.BufferBytes+batchSlack)),
 	}
 	if opts.GroupSize < 0 {
 		return nil, fmt.Errorf("ygm: negative group size %d", opts.GroupSize)
@@ -301,8 +302,9 @@ func (w *World) Options() Options { return w.opts }
 // be used afterwards.
 func (w *World) Close() error { return w.transport.close() }
 
-// RegisterHandler adds a procedure to the registry and returns its id.
-// Handlers must be registered outside parallel regions so every rank sees an
+// RegisterHandler adds a procedure to the registry and returns its id: the
+// most recently released id if there is one, otherwise a new one. Handlers
+// must be registered outside parallel regions so every rank sees an
 // identical registry.
 func (w *World) RegisterHandler(h Handler) HandlerID {
 	if w.inRegion.Load() {
@@ -310,8 +312,45 @@ func (w *World) RegisterHandler(h Handler) HandlerID {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if n := len(w.freeIDs); n > 0 {
+		id := w.freeIDs[n-1]
+		w.freeIDs = w.freeIDs[:n-1]
+		w.handlers[id] = h
+		return id
+	}
 	w.handlers = append(w.handlers, h)
 	return HandlerID(len(w.handlers) - 1)
+}
+
+// ReleaseHandlers removes procedures from the registry, in argument order,
+// and frees their ids for reuse. Like RegisterHandler it runs only outside
+// parallel regions; no message for a released id may still be in flight,
+// which holds after any region's closing barrier. Releasing an owner's ids
+// in the reverse of their registration order hands the same ids to the
+// next owner that registers in the same order. A message that still names
+// a released id panics at its destination.
+func (w *World) ReleaseHandlers(ids ...HandlerID) {
+	if w.inRegion.Load() {
+		panic("ygm: ReleaseHandlers called inside a parallel region")
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, id := range ids {
+		if id == w.hForward || int(id) >= len(w.handlers) || w.handlers[id] == nil {
+			panic(fmt.Sprintf("ygm: release of handler %d, which is not registered", id))
+		}
+		w.handlers[id] = nil
+		if int(id) < len(w.handlerNames) {
+			w.handlerNames[id] = ""
+		}
+		// The next owner of the id starts with a clean profile.
+		for _, r := range w.ranks {
+			if int(id) < len(r.hMsgs) {
+				r.hMsgs[id], r.hBytes[id] = 0, 0
+			}
+		}
+		w.freeIDs = append(w.freeIDs, id)
+	}
 }
 
 // Parallel runs fn concurrently on every local rank (the SPMD region) and
@@ -511,28 +550,56 @@ func (w *World) ResetStats() {
 // per-rank statistics after a region.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// getBatch and putBatch recycle both the byte buffers and the *[]byte
-// headers that sync.Pool forces them through. Boxing with a fresh &b on
-// every Put would heap-allocate a slice header per recycled batch — one
-// allocation per frame on the TCP receive path — so emptied boxes park in
-// boxPool (pointer-to-interface conversions are allocation-free) and are
-// refilled on the next put.
+// A batch buffer has room for one message past the flush threshold.
+// Buffers recycle through one world-wide free list, not a per-P
+// sync.Pool: a buffer freed on a receiving rank's goroutine must be there
+// for the next get on any other, and a GC must not empty the list between
+// rounds. A receiver parked in a barrier queues every batch its peers send
+// until it arrives too, so a round's backlog depends on timing. The list
+// keeps at most maxFreeBatchBytes of idle buffers, small next to a graph,
+// and drops the rest. New buffers come in slabs of up to maxSlabBytes, so
+// a backlog past the list costs one allocation per slab, not per frame.
+const (
+	batchSlack        = 4 << 10
+	maxFreeBatchBytes = 2 << 20
+	maxSlabBytes      = 64 << 10
+)
+
 func (w *World) getBatch() []byte {
-	bp := w.batchPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	*bp = nil
-	w.boxPool.Put(bp)
-	return b
+	w.batchMu.Lock()
+	defer w.batchMu.Unlock()
+	if n := len(w.batches); n > 0 {
+		b := w.batches[n-1]
+		w.batches[n-1] = nil
+		w.batches = w.batches[:n-1]
+		return b
+	}
+	return w.newBatches()
+}
+
+// newBatches allocates a slab of buffers in one allocation, returns the
+// first and parks the rest on the (empty) free list. A slab holds as many
+// buffers as were made before it, up to maxSlabBytes, so a backlog past
+// the last high-water mark costs a few allocations, not one per frame.
+// Called with batchMu held.
+func (w *World) newBatches() []byte {
+	size := w.opts.BufferBytes + batchSlack
+	k := min(max(w.batchesMade, 1), max(maxSlabBytes/size, 1), cap(w.batches)+1)
+	w.batchesMade += k
+	slab := make([]byte, k*size)
+	for i := 1; i < k; i++ {
+		w.batches = append(w.batches, slab[i*size:i*size:(i+1)*size])
+	}
+	return slab[:0:size]
 }
 
 func (w *World) putBatch(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	bp, _ := w.boxPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+	w.batchMu.Lock()
+	if len(w.batches) < cap(w.batches) {
+		w.batches = append(w.batches, b[:0])
 	}
-	*bp = b[:0]
-	w.batchPool.Put(bp)
+	w.batchMu.Unlock()
 }

@@ -6,11 +6,15 @@ import (
 )
 
 // TriangleSurvey is a reusable prepared survey; construct with NewSurvey
-// outside Parallel regions and Run as many times as desired.
+// outside Parallel regions, Run as many times as desired, and Close when
+// done.
 type TriangleSurvey[VM, EM any] = core.Survey[VM, EM]
 
 // NewSurvey prepares a reusable triangle survey of g, invoking cb on every
-// triangle with all six metadata items colocated.
+// triangle with all six metadata items colocated. The survey registers
+// handlers on g's world; call Close outside Parallel regions once done,
+// or the world keeps the survey and its state alive. Run closes the
+// survey it makes by itself.
 func NewSurvey[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, cb Callback[VM, EM]) *TriangleSurvey[VM, EM] {
 	return core.NewSurvey(g, opts, cb)
 }
@@ -45,7 +49,7 @@ var ErrPlanNoTimestamps = core.ErrNoTimestamps
 
 // NewPlannedSurvey prepares a reusable survey restricted to plan-matching
 // triangles, with the plan's predicates pushed down into every phase. A
-// nil or empty plan degenerates to NewSurvey.
+// nil or empty plan degenerates to NewSurvey. Close it like one.
 func NewPlannedSurvey[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, plan *SurveyPlan[EM], cb Callback[VM, EM]) (*TriangleSurvey[VM, EM], error) {
 	return core.NewPlannedSurvey(g, opts, plan, cb)
 }
@@ -104,6 +108,7 @@ func BuildSimple(w *World, edges [][2]uint64) *Graph[Unit, Unit] {
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }
 
@@ -130,5 +135,6 @@ func BuildTemporal(w *World, edges []TemporalEdge) *Graph[Unit, uint64] {
 			g = gg
 		}
 	})
+	b.Close()
 	return g
 }

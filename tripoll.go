@@ -28,6 +28,7 @@
 //	    gg := b.Build(r)
 //	    if r.ID() == 0 { g = gg }
 //	})
+//	b.Close()
 //	res, _ := tripoll.Run(g, tripoll.SurveyOptions{}, nil)
 //	fmt.Println(res.Triangles) // 1
 //
@@ -161,7 +162,9 @@ const (
 )
 
 // NewGraphBuilder creates a distributed graph builder. Call outside
-// Parallel regions.
+// Parallel regions. The builder registers handlers on w; call its Close
+// after the region that ran Build, so the world lets go of the builder
+// and of the graph its handlers reach.
 func NewGraphBuilder[VM, EM any](w *World, vm Codec[VM], em Codec[EM], opts BuilderOptions[EM]) *GraphBuilder[VM, EM] {
 	return graph.NewBuilder(w, vm, em, opts)
 }
