@@ -3,7 +3,6 @@ package tripoll
 import (
 	"tripoll/internal/analysis"
 	"tripoll/internal/core"
-	"tripoll/internal/engine"
 )
 
 // The unified analysis API: every triangle survey is an Analysis value —
@@ -22,11 +21,12 @@ import (
 // Analysis describes one triangle analysis as a first-class value; see
 // the stock constructors below and core.Analysis for the contract each
 // field must satisfy. Bind it to an output destination to attach it to a
-// Run.
+// Run or a Stream; the optional Unobserve and Clone fields are what a
+// stream uses to maintain it through expiry.
 type Analysis[VM, EM, T any] = core.Analysis[VM, EM, T]
 
 // AttachedAnalysis is an Analysis bound to its output via Bind, ready to
-// fuse into a Run.
+// fuse into a Run or attach to OpenStream.
 type AttachedAnalysis[VM, EM any] = core.Attached[VM, EM]
 
 // Run executes every attached analysis in one fused traversal of g,
@@ -34,18 +34,20 @@ type AttachedAnalysis[VM, EM any] = core.Attached[VM, EM]
 // nil for an unrestricted survey. Result.Analyses names the fused
 // analyses; with none attached, Run degenerates to a pure count.
 //
-// Run is the single-shot form of the query engine: one ephemeral Engine,
-// one traversal, no scheduler or cache. Long-lived services that answer
-// many (possibly concurrent) questions of the same graphs should hold an
-// Engine instead — concurrently submitted compatible queries then share
-// traversals and repeated queries hit the result cache (DESIGN.md §10).
+// Run is one direct traversal: no scheduler, no cache. Long-lived services
+// that answer many (possibly concurrent) questions of the same graphs
+// should hold an Engine instead — concurrently submitted compatible
+// queries then share traversals and repeated queries hit the result cache
+// (DESIGN.md §10).
 func Run[VM, EM any](g *Graph[VM, EM], opts SurveyOptions, plan *SurveyPlan[EM], analyses ...AttachedAnalysis[VM, EM]) (Result, error) {
-	return engine.Once(g, opts, plan, analyses...)
+	return core.Run(g, opts, plan, analyses...)
 }
 
 // Stock analyses — the paper's surveys as fusable values.
 
 // CountAnalysis counts observed triangles (Alg. 2 as an attachable value).
+// It is invertible, as are VertexCountAnalysis, MaxEdgeLabelAnalysis and
+// ClosureTimeAnalysis: a Stream maintains all four through expiry.
 func CountAnalysis[VM, EM any]() Analysis[VM, EM, uint64] {
 	return core.CountAnalysis[VM, EM]()
 }

@@ -27,8 +27,8 @@ import (
 //	    ...
 //	}
 //
-// cmd/tripolld serves this API over HTTP; the legacy Run free function is
-// a single-shot engine.
+// cmd/tripolld serves this API over HTTP; the Run free function is one
+// direct traversal with no engine.
 type Engine[VM, EM any] = engine.Engine[VM, EM]
 
 // QueryEngineOptions configures an Engine; Timestamps enables the

@@ -155,185 +155,29 @@ func TestCounterMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-func TestMapInsertAndGlobalSize(t *testing.T) {
-	w := ygm.MustWorld(4, ygm.Options{})
-	defer w.Close()
-	m := NewMap[uint64, string](w, serialize.Uint64Codec(), serialize.StringCodec(), nil)
-	w.Parallel(func(r *ygm.Rank) {
-		for k := 0; k < 50; k++ {
-			// All ranks write the same keys; last write wins, values agree.
-			m.Insert(r, uint64(k), fmt.Sprintf("v%d", k))
-		}
-		r.Barrier()
-		if got := m.GlobalSize(r); got != 50 {
-			t.Errorf("GlobalSize = %d, want 50", got)
-		}
-		m.ForAllLocal(r, func(k uint64, v string) {
-			if v != fmt.Sprintf("v%d", k) {
-				t.Errorf("key %d has value %q", k, v)
-			}
-		})
-	})
-}
-
-func TestMapUpsertMerges(t *testing.T) {
-	w := ygm.MustWorld(3, ygm.Options{})
-	defer w.Close()
-	m := NewMap[string, uint64](w, serialize.StringCodec(), serialize.Uint64Codec(),
-		func(old, new uint64) uint64 { return old + new })
-	w.Parallel(func(r *ygm.Rank) {
-		m.Upsert(r, "k", 10)
-		r.Barrier()
-		if got := m.GlobalSize(r); got != 1 {
-			t.Errorf("GlobalSize = %d", got)
-		}
-	})
-	// Sum of three upserts of 10.
-	var sum uint64
-	w.Parallel(func(r *ygm.Rank) {
-		m.ForAllLocal(r, func(k string, v uint64) {
-			if r.ID() == m.Owner("k") {
-				sum = v
-			}
-		})
-	})
-	if sum != 30 {
-		t.Errorf("merged value = %d, want 30", sum)
-	}
-}
-
-func TestMapVisitShipsComputation(t *testing.T) {
-	w := ygm.MustWorld(4, ygm.Options{})
-	defer w.Close()
-	touched := make([]int, 4)
-	m := NewMap(w, serialize.Uint64Codec(), serialize.Uint64Codec(), nil,
-		func(r *ygm.Rank, key uint64, value uint64, present bool, args *serialize.Decoder) (uint64, bool) {
-			add := args.Uvarint()
-			touched[r.ID()]++
-			if !present {
-				return add, true
-			}
-			return value + add, true
-		})
-	w.Parallel(func(r *ygm.Rank) {
-		for k := 0; k < 20; k++ {
-			m.Visit(r, uint64(k), 0, func(e *serialize.Encoder) { e.PutUvarint(1) })
-		}
-		r.Barrier()
-	})
-	sums := make([]uint64, 4)
-	w.Parallel(func(r *ygm.Rank) {
-		m.ForAllLocal(r, func(_ uint64, v uint64) { sums[r.ID()] += v })
-	})
-	var sum uint64
-	for _, s := range sums {
-		sum += s
-	}
-	if sum != 80 { // 4 ranks × 20 visits, each adding 1
-		t.Errorf("sum = %d, want 80", sum)
-	}
-	total := 0
-	for _, c := range touched {
-		total += c
-	}
-	if total != 80 {
-		t.Errorf("visits executed = %d, want 80", total)
-	}
-}
-
-func TestSetInsertRemoveVisit(t *testing.T) {
-	w := ygm.MustWorld(3, ygm.Options{})
-	defer w.Close()
-	var hits, misses int
-	s := NewSet(w, serialize.Uint64Codec(),
-		func(r *ygm.Rank, key uint64, member bool, args *serialize.Decoder) {
-			if member {
-				hits++
-			} else {
-				misses++
-			}
-		})
-	w.Parallel(func(r *ygm.Rank) {
-		if r.ID() == 0 {
-			for k := 0; k < 10; k++ {
-				s.Insert(r, uint64(k))
-			}
-		}
-		r.Barrier()
-		if got := s.GlobalSize(r); got != 10 {
-			t.Errorf("size = %d, want 10", got)
-		}
-		if r.ID() == 1 {
-			s.Remove(r, 3)
-			s.Remove(r, 4)
-		}
-		r.Barrier()
-		if got := s.GlobalSize(r); got != 8 {
-			t.Errorf("size after remove = %d, want 8", got)
-		}
-		if r.ID() == 2 {
-			s.VisitIfMember(r, 5, 0, nil)  // hit
-			s.VisitIfMember(r, 3, 0, nil)  // removed → miss
-			s.VisitIfMember(r, 99, 0, nil) // never inserted → miss
-		}
-		r.Barrier()
-	})
-	if hits != 1 || misses != 2 {
-		t.Errorf("hits=%d misses=%d, want 1/2", hits, misses)
-	}
-}
-
-func TestBagRoundRobinAndGather(t *testing.T) {
-	w := ygm.MustWorld(4, ygm.Options{})
-	defer w.Close()
-	b := NewBag[uint64](w, serialize.Uint64Codec())
-	w.Parallel(func(r *ygm.Rank) {
-		for k := 0; k < 100; k++ {
-			b.Add(r, uint64(r.ID()*1000+k))
-		}
-		b.AddLocal(r, 42)
-		r.Barrier()
-		if got := b.GlobalSize(r); got != 404 {
-			t.Errorf("size = %d, want 404", got)
-		}
-		// Round-robin should spread items perfectly here.
-		if got := len(b.Local(r)); got != 101 {
-			t.Errorf("rank %d local = %d, want 101", r.ID(), got)
-		}
-		var sum uint64
-		b.ForAllLocal(r, func(v uint64) { sum += v })
-		if sum == 0 {
-			t.Error("empty local sum")
-		}
-	})
-}
-
 func TestContainersShareWorldTraffic(t *testing.T) {
 	// §4.1.4: counting-set flushes interleave with other message kinds on
 	// the same world without interference.
 	w := ygm.MustWorld(4, ygm.Options{BufferBytes: 64})
 	defer w.Close()
 	c := NewCounter[uint64](w, serialize.Uint64Codec(), CounterOptions{CacheEntries: 4})
-	b := NewBag[string](w, serialize.StringCodec())
-	m := NewMap[uint64, uint64](w, serialize.Uint64Codec(), serialize.Uint64Codec(),
-		func(old, new uint64) uint64 { return old + new })
+	recv := make([]uint64, w.Size()) // plain-handler payloads received per rank
+	h := w.RegisterHandler(func(r *ygm.Rank, d *serialize.Decoder) {
+		recv[r.ID()] += d.Uvarint()
+	})
 	w.Parallel(func(r *ygm.Rank) {
 		for k := 0; k < 200; k++ {
 			c.Inc(r, uint64(k%13))
-			b.Add(r, "item")
-			m.Upsert(r, uint64(k%7), 1)
+			e := r.Begin((r.ID()+k)%r.Size(), h)
+			e.PutUvarint(1)
+			r.Commit(e)
 		}
 		c.Barrier(r)
 		if got := c.GlobalTotal(r); got != 800 {
 			t.Errorf("counter total = %d, want 800", got)
 		}
-		if got := b.GlobalSize(r); got != 800 {
-			t.Errorf("bag size = %d, want 800", got)
-		}
-		var mapSum uint64
-		m.ForAllLocal(r, func(_, v uint64) { mapSum += v })
-		if got := ygm.AllReduceSum(r, mapSum); got != 800 {
-			t.Errorf("map sum = %d, want 800", got)
+		if got := ygm.AllReduceSum(r, recv[r.ID()]); got != 800 {
+			t.Errorf("plain handler total = %d, want 800", got)
 		}
 	})
 }

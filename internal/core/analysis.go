@@ -22,7 +22,8 @@ import (
 
 // Analysis describes one triangle analysis as a first-class value. VM and
 // EM are the surveyed graph's vertex and edge metadata types; T is both the
-// per-rank accumulator and the analysis result.
+// per-rank accumulator and the analysis result. The same value serves a
+// one-shot Run and a maintained Stream.
 //
 // Observe runs on the goroutine of the rank where each triangle was
 // identified, exactly like a survey Callback: it may read rank-local state
@@ -39,6 +40,21 @@ import (
 // result; nil means identity. It runs once, outside parallel regions, so it
 // may itself use collectives or Parallel (ClusteringAnalysis does, for its
 // degree pass).
+//
+// Unobserve and Clone are what a Stream needs beyond a Run, and a Run
+// ignores them. Two contracts apply to an analysis attached to a stream:
+//
+//   - Observe/Unobserve must be presentation-independent: a stream
+//     enumerates triangles with vertices in id order, while a full
+//     traversal presents them in <+ order, and the two must accumulate
+//     identically (every stock analysis is symmetric in the three
+//     vertices, so this is the natural shape).
+//   - Per-rank accumulators form a group under Observe/Unobserve/Merge: a
+//     triangle may be retired on a different rank than the one that
+//     observed it, so a rank-local value may transiently hold an inverse
+//     (a wrapped counter, a zero-valued map entry). Only the merged
+//     accumulator is meaningful; Finalize is where cancelled residue is
+//     pruned (see the stock constructors).
 type Analysis[VM, EM, T any] struct {
 	// Name identifies the analysis in Result.Analyses, bench records and
 	// ablation output.
@@ -52,25 +68,41 @@ type Analysis[VM, EM, T any] struct {
 	Merge func(a, b T) T
 	// Finalize turns the merged accumulator into the result; nil = identity.
 	Finalize func(merged T) T
+	// Unobserve reverses Observe for one triangle: after Unobserve(r, acc,
+	// t) for every previously observed t, the merged accumulator must be
+	// indistinguishable from one that never saw them. Nil marks the
+	// analysis non-invertible: a stream stays correct, but every expiry
+	// triggers an epoch rebuild.
+	Unobserve func(r *ygm.Rank, acc T, t *Triangle[VM, EM]) T
+	// Clone deep-copies an accumulator so Stream.Snapshot can reduce and
+	// finalize without disturbing the live per-rank state. OpenStream
+	// requires it when NewAccum is set (reference-typed accumulators); nil
+	// declares value semantics (plain assignment copies).
+	Clone func(T) T
 }
 
 // Bind attaches the analysis to an output destination, producing the
-// opaque handle Run consumes. When Run returns, *out holds the finalized
-// result. A bound handle is single-use: it carries the accumulators of one
-// run.
+// opaque handle Run and OpenStream consume. When Run returns, *out holds
+// the finalized result; a stream handle instead carries the live
+// accumulators for the stream's lifetime, and every Snapshot re-publishes
+// the current result into *out. A handle holds the accumulators of one
+// Run or one stream at a time.
 func (a Analysis[VM, EM, T]) Bind(out *T) Attached[VM, EM] {
 	return &bound[VM, EM, T]{a: a, out: out}
 }
 
-// Attached is an Analysis bound to its output, ready to fuse into a Run.
-// Only Analysis.Bind produces values of this type.
+// Attached is an Analysis bound to its output, ready to fuse into a Run or
+// attach to a Stream. Only Analysis.Bind produces values of this type.
 type Attached[VM, EM any] interface {
 	// AnalysisName returns the bound analysis's Name.
 	AnalysisName() string
 
-	validate(nranks int) error
+	validate(nranks int, stream bool) error
 	start(nranks int)
 	observe(r *ygm.Rank, t *Triangle[VM, EM])
+	unobserve(r *ygm.Rank, t *Triangle[VM, EM])
+	invertible() bool
+	clone() Attached[VM, EM]
 	reduce(r *ygm.Rank)
 	finish()
 }
@@ -85,13 +117,18 @@ type bound[VM, EM, T any] struct {
 func (b *bound[VM, EM, T]) AnalysisName() string { return b.a.Name }
 
 // validate rejects analyses the traversal or reduction would crash on:
-// a missing Observe, or a missing Merge on a multi-rank world.
-func (b *bound[VM, EM, T]) validate(nranks int) error {
+// a missing Observe, or a missing Merge on a multi-rank world. A stream
+// additionally needs Clone for reference-typed accumulators, or a
+// Snapshot would merge into the live state.
+func (b *bound[VM, EM, T]) validate(nranks int, stream bool) error {
 	if b.a.Observe == nil {
 		return fmt.Errorf("core: analysis %q has no Observe", b.a.Name)
 	}
 	if nranks > 1 && b.a.Merge == nil {
 		return fmt.Errorf("core: analysis %q has no Merge (required on a %d-rank world)", b.a.Name, nranks)
+	}
+	if stream && b.a.NewAccum != nil && b.a.Clone == nil {
+		return fmt.Errorf("core: stream analysis %q has NewAccum but no Clone (snapshots must not disturb live accumulators)", b.a.Name)
 	}
 	return nil
 }
@@ -108,6 +145,27 @@ func (b *bound[VM, EM, T]) start(nranks int) {
 func (b *bound[VM, EM, T]) observe(r *ygm.Rank, t *Triangle[VM, EM]) {
 	id := r.ID()
 	b.accs[id] = b.a.Observe(r, b.accs[id], t)
+}
+
+func (b *bound[VM, EM, T]) unobserve(r *ygm.Rank, t *Triangle[VM, EM]) {
+	id := r.ID()
+	b.accs[id] = b.a.Unobserve(r, b.accs[id], t)
+}
+
+func (b *bound[VM, EM, T]) invertible() bool { return b.a.Unobserve != nil }
+
+// clone returns a handle bound to the same output over copies of b's
+// accumulators: Snapshot reduces and finishes the copy, so the live
+// per-rank state keeps folding the next batch untouched.
+func (b *bound[VM, EM, T]) clone() Attached[VM, EM] {
+	c := &bound[VM, EM, T]{a: b.a, out: b.out, accs: make([]T, len(b.accs))}
+	for i, acc := range b.accs {
+		if b.a.Clone != nil {
+			acc = b.a.Clone(acc)
+		}
+		c.accs[i] = acc
+	}
+	return c
 }
 
 // reduce tree-reduces the rank accumulators in place: lg(n) levels, each
@@ -192,7 +250,7 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 	w := g.World()
 	names := make([]string, len(analyses))
 	for i, a := range analyses {
-		if err := a.validate(w.Size()); err != nil {
+		if err := a.validate(w.Size(), false); err != nil {
 			return Result{}, err
 		}
 		names[i] = a.AnalysisName()
@@ -218,17 +276,25 @@ func Run[VM, EM any](g *graph.DODGr[VM, EM], opts Options, plan *Plan[EM], analy
 	defer s.Close()
 	res := s.Run()
 	res.Analyses = names
-	if len(analyses) > 0 {
-		w.Parallel(func(r *ygm.Rank) {
-			for _, a := range analyses {
-				a.reduce(r)
-			}
-		})
-		for _, a := range analyses {
-			a.finish()
-		}
-	}
+	reduceAll(w, analyses)
 	return res, nil
+}
+
+// reduceAll tree-reduces every handle's accumulators and publishes each
+// finalized result into its bound output — the one reduction behind both
+// Run and Stream.Snapshot. Collective; call outside parallel regions.
+func reduceAll[VM, EM any](w *ygm.World, analyses []Attached[VM, EM]) {
+	if len(analyses) == 0 {
+		return
+	}
+	w.Parallel(func(r *ygm.Rank) {
+		for _, a := range analyses {
+			a.reduce(r)
+		}
+	})
+	for _, a := range analyses {
+		a.finish()
+	}
 }
 
 // mergeCounts is the standard Merge for map-of-counters accumulators.
@@ -237,4 +303,27 @@ func mergeCounts[K comparable](a, b map[K]uint64) map[K]uint64 {
 		a[k] += v
 	}
 	return a
+}
+
+// pruneZeroCounts deletes cancelled (zero-valued) keys a merged stream
+// accumulator may carry when observe and unobserve landed on different
+// ranks; a fresh traversal's accumulator never holds zeros, so pruning
+// makes the two deeply equal.
+func pruneZeroCounts[K comparable](m map[K]uint64) map[K]uint64 {
+	for k, v := range m {
+		if v == 0 {
+			delete(m, k)
+		}
+	}
+	return m
+}
+
+// decCount reverses one increment of m[k] with wrapping arithmetic,
+// deleting exact zeros (see the group contract on Analysis).
+func decCount[K comparable](m map[K]uint64, k K) {
+	if c := m[k] - 1; c == 0 {
+		delete(m, k)
+	} else {
+		m[k] = c
+	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"tripoll/internal/graph"
 	"tripoll/internal/serialize"
 	"tripoll/internal/stats"
@@ -8,7 +10,11 @@ import (
 )
 
 // Stock analyses: the paper's surveys packaged as Analysis values, all
-// fusable into one traversal via Run.
+// fusable into one traversal via Run. Count, VertexCount, MaxEdgeLabel and
+// ClosureTime also declare their inverse and Clone, so the same values are
+// maintained by a Stream through expiry; their Finalize prunes the
+// cancelled (zero) entries a stream's merged accumulator may carry, which
+// a fresh Run never holds.
 
 // CountAnalysis counts observed triangles. The engine maintains
 // Result.Triangles anyway; attach this when a fused run wants the count
@@ -18,6 +24,8 @@ func CountAnalysis[VM, EM any]() Analysis[VM, EM, uint64] {
 		Name:    "count",
 		Observe: func(_ *ygm.Rank, acc uint64, _ *Triangle[VM, EM]) uint64 { return acc + 1 },
 		Merge:   func(a, b uint64) uint64 { return a + b },
+		// Wrapping: per-rank values may dip "negative".
+		Unobserve: func(_ *ygm.Rank, acc uint64, _ *Triangle[VM, EM]) uint64 { return acc - 1 },
 	}
 }
 
@@ -35,7 +43,15 @@ func VertexCountAnalysis[VM, EM any]() Analysis[VM, EM, map[uint64]uint64] {
 			acc[t.R]++
 			return acc
 		},
-		Merge: mergeCounts[uint64],
+		Merge:    mergeCounts[uint64],
+		Finalize: pruneZeroCounts[uint64],
+		Unobserve: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, EM]) map[uint64]uint64 {
+			decCount(acc, t.P)
+			decCount(acc, t.Q)
+			decCount(acc, t.R)
+			return acc
+		},
+		Clone: maps.Clone[map[uint64]uint64],
 	}
 }
 
@@ -136,21 +152,30 @@ func MaxEdgeLabelAnalysis[VM comparable](distinctLabels bool) Analysis[VM, uint6
 		Name:     "maxlabel",
 		NewAccum: func() map[uint64]uint64 { return make(map[uint64]uint64) },
 		Observe: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, uint64]) map[uint64]uint64 {
-			if distinctLabels && (t.MetaP == t.MetaQ || t.MetaQ == t.MetaR || t.MetaP == t.MetaR) {
-				return acc
+			if label, ok := maxEdgeLabel(t, distinctLabels); ok {
+				acc[label]++
 			}
-			max := t.MetaPQ
-			if t.MetaPR > max {
-				max = t.MetaPR
-			}
-			if t.MetaQR > max {
-				max = t.MetaQR
-			}
-			acc[max]++
 			return acc
 		},
-		Merge: mergeCounts[uint64],
+		Merge:    mergeCounts[uint64],
+		Finalize: pruneZeroCounts[uint64],
+		Unobserve: func(_ *ygm.Rank, acc map[uint64]uint64, t *Triangle[VM, uint64]) map[uint64]uint64 {
+			if label, ok := maxEdgeLabel(t, distinctLabels); ok {
+				decCount(acc, label)
+			}
+			return acc
+		},
+		Clone: maps.Clone[map[uint64]uint64],
 	}
+}
+
+// maxEdgeLabel returns t's largest edge label, or false when the
+// distinct-vertex-label guard rejects t.
+func maxEdgeLabel[VM comparable](t *Triangle[VM, uint64], distinctLabels bool) (uint64, bool) {
+	if distinctLabels && (t.MetaP == t.MetaQ || t.MetaQ == t.MetaR || t.MetaP == t.MetaR) {
+		return 0, false
+	}
+	return max(t.MetaPQ, t.MetaPR, t.MetaQR), true
 }
 
 // TimePair is a (⌈log₂ Δt_open⌉, ⌈log₂ Δt_close⌉) bucket pair.
@@ -170,12 +195,26 @@ func ClosureTimeAnalysis[VM any]() Analysis[VM, uint64, *stats.Joint2D] {
 		Name:     "closure",
 		NewAccum: stats.NewJoint2D,
 		Observe: func(_ *ygm.Rank, acc *stats.Joint2D, t *Triangle[VM, uint64]) *stats.Joint2D {
-			t1, t2, t3 := sort3(t.MetaPQ, t.MetaPR, t.MetaQR)
-			acc.Add(int(stats.CeilLog2(t2-t1)), int(stats.CeilLog2(t3-t1)), 1)
+			x, y := closureCell(t)
+			acc.Add(x, y, 1)
 			return acc
 		},
-		Merge: (*stats.Joint2D).Merge,
+		Merge:    (*stats.Joint2D).Merge,
+		Finalize: (*stats.Joint2D).Prune,
+		Unobserve: func(_ *ygm.Rank, acc *stats.Joint2D, t *Triangle[VM, uint64]) *stats.Joint2D {
+			x, y := closureCell(t)
+			acc.Sub(x, y, 1)
+			return acc
+		},
+		Clone: (*stats.Joint2D).Clone,
 	}
+}
+
+// closureCell buckets t's (Δt_open, Δt_close) pair: with edge times
+// t1 ≤ t2 ≤ t3, the ceil-log₂ of t2 − t1 and of t3 − t1.
+func closureCell[VM any](t *Triangle[VM, uint64]) (int, int) {
+	t1, t2, t3 := sort3(t.MetaPQ, t.MetaPR, t.MetaQR)
+	return int(stats.CeilLog2(t2 - t1)), int(stats.CeilLog2(t3 - t1))
 }
 
 // sort3 returns a, b, c in ascending order.

@@ -204,7 +204,8 @@ func (k *kernel) init(w *ygm.World, owner func(uint64) int, opts Options, view w
 }
 
 // run executes one traversal, adding each phase's time and traffic (since
-// *prev) to res and folding the per-rank counters into it.
+// *prev) to res and folding the per-rank counters into it — world-wide in
+// a multi-process world.
 func (k *kernel) run(res *Result, prev *ygm.Stats) {
 	for i := range k.ranks {
 		k.ranks[i].reset()
@@ -226,7 +227,56 @@ func (k *kernel) run(res *Result, prev *ygm.Stats) {
 		res.PrunedPullEntries += st.prunedPull
 		res.MaxRankWedgeChecks = max(res.MaxRankWedgeChecks, st.wedgeChecks)
 	}
+	if k.w.Distributed() {
+		k.reduceResult(res)
+		return
+	}
 	res.deriveRatios(k.w.Size())
+}
+
+// reduceResult folds every process's Result partials into world-wide
+// totals so a multi-process traversal — a full survey or a stream delta —
+// reports exactly what the equivalent single-process one would. Each
+// process leader contributes its process partial to sum (or max)
+// collectives; the other local ranks contribute zero but must participate
+// — collectives are world-wide. Durations stay process-local: wall clock
+// is machine-dependent and excluded from every determinism gate.
+func (k *kernel) reduceResult(res *Result) {
+	in := *res
+	var out Result
+	k.w.Parallel(func(r *ygm.Rank) {
+		lead := r.ID() == k.w.LeaderID()
+		cu := func(v uint64) uint64 {
+			if lead {
+				return v
+			}
+			return 0
+		}
+		sumI := func(v int64) int64 {
+			if !lead {
+				v = 0
+			}
+			return ygm.AllReduce(r, v, func(a, b int64) int64 { return a + b })
+		}
+		t := in
+		t.Triangles = ygm.AllReduceSum(r, cu(in.Triangles))
+		t.PullsGranted = ygm.AllReduceSum(r, cu(in.PullsGranted))
+		t.WedgeChecks = ygm.AllReduceSum(r, cu(in.WedgeChecks))
+		t.MaxRankWedgeChecks = ygm.AllReduceMax(r, cu(in.MaxRankWedgeChecks))
+		t.PrunedBatches = ygm.AllReduceSum(r, cu(in.PrunedBatches))
+		t.PrunedCandidates = ygm.AllReduceSum(r, cu(in.PrunedCandidates))
+		t.PrunedPullEntries = ygm.AllReduceSum(r, cu(in.PrunedPullEntries))
+		for _, ph := range []*PhaseStats{&t.DryRun, &t.Push, &t.Pull} {
+			ph.Bytes = sumI(ph.Bytes)
+			ph.Messages = sumI(ph.Messages)
+			ph.Batches = sumI(ph.Batches)
+		}
+		if lead {
+			out = t
+		}
+	})
+	out.deriveRatios(k.w.Size())
+	*res = out
 }
 
 // deriveRatios fills the per-rank averages from the folded totals.

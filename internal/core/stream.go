@@ -13,19 +13,19 @@ import (
 )
 
 // Streaming survey maintenance. A Stream ingests timestamped edge batches
-// and keeps a set of fused analyses (StreamAnalysis values) continuously
-// correct over the live edge set, without re-surveying the whole graph per
-// batch. The key observation is delta locality: a batch changes exactly the
-// triangles that contain a changed edge, and the triangles containing edge
-// {u, v} are the common neighborhood N(u) ∩ N(v) — so each batch runs the
-// traversal kernel (kernel.go) over a delta view whose only wedge sources
-// are the changed edges: for a changed edge {a, b} the initiator a ships
-// its live neighborhood N(a) to Rank(b) for intersection against N(b), or
-// pulls N(b) when the §4.4 negotiation grants it. Plan filters prune
-// candidates and pull replies as in the full survey, and every identified
-// triangle is dispatched to every attached analysis with a sign: Observe
-// for triangles a batch creates, Unobserve for triangles an expiry
-// destroys.
+// and keeps a set of fused analyses (the same Analysis values Run takes)
+// continuously correct over the live edge set, without re-surveying the
+// whole graph per batch. The key observation is delta locality: a batch
+// changes exactly the triangles that contain a changed edge, and the
+// triangles containing edge {u, v} are the common neighborhood N(u) ∩ N(v)
+// — so each batch runs the traversal kernel (kernel.go) over a delta view
+// whose only wedge sources are the changed edges: for a changed edge
+// {a, b} the initiator a ships its live neighborhood N(a) to Rank(b) for
+// intersection against N(b), or pulls N(b) when the §4.4 negotiation
+// grants it. Plan filters prune candidates and pull replies as in the full
+// survey, and every identified triangle is dispatched to every attached
+// analysis with a sign: Observe for triangles a batch creates, Unobserve
+// for triangles an expiry destroys.
 //
 // A triangle whose batch changed several of its edges must be counted once,
 // not once per changed edge: each candidate carries an "in the current
@@ -132,7 +132,7 @@ type Stream[VM, EM any] struct {
 	vm      serialize.Codec[VM]
 	em      serialize.Codec[EM]
 
-	analyses []StreamAttached[VM, EM]
+	analyses []Attached[VM, EM]
 	sinks    []StreamSink[VM, EM]
 	names    []string
 
@@ -189,11 +189,11 @@ type streamState[VM, EM any] struct {
 // empty plan streams every triangle; a non-empty plan restricts the
 // analyses to plan-matching triangles with its predicates pushed into the
 // delta traversal. Must be called outside parallel regions.
-func OpenStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], analyses ...StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], analyses ...Attached[VM, EM]) (*Stream[VM, EM], error) {
 	return openStream(g, opts, plan, nil, analyses)
 }
 
-func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses []StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses []Attached[VM, EM]) (*Stream[VM, EM], error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func openStream[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan
 	}
 	s.names = make([]string, len(analyses))
 	for i, a := range analyses {
-		if err := a.validateStream(w.Size()); err != nil {
+		if err := a.validate(w.Size(), true); err != nil {
 			return nil, err
 		}
 		s.names[i] = a.AnalysisName()
@@ -520,7 +520,11 @@ func (s *Stream[VM, EM]) dispatch(r *ygm.Rank, sign int, u uint64, mu VM, v uint
 	t := &s.state[r.ID()].scratchTri
 	fillIDSorted(t, u, mu, v, mv, w, mw, emUV, emUW, emVW)
 	for _, a := range s.analyses {
-		a.observeSigned(r, t, sign)
+		if sign < 0 {
+			a.unobserve(r, t)
+		} else {
+			a.observe(r, t)
+		}
 	}
 	for _, sk := range s.sinks {
 		sk.SinkTriangle(r, t, sign)
@@ -1146,23 +1150,15 @@ func (s *Stream[VM, EM]) rebuild(res *Result, prev *ygm.Stats) error {
 }
 
 // Snapshot publishes every attached analysis's current result into its
-// bound output: the live per-rank accumulators are cloned, tree-reduced
-// and finalized, so the stream keeps maintaining them across subsequent
-// batches. Returns the cumulative stream counters. Collective; call
-// outside parallel regions.
+// bound output: the live per-rank accumulators are cloned, and the clones
+// are reduced and finalized exactly as Run reduces its own, so the stream
+// keeps maintaining the originals across subsequent batches. Returns the
+// cumulative stream counters. Collective; call outside parallel regions.
 func (s *Stream[VM, EM]) Snapshot() StreamStats {
-	if len(s.analyses) > 0 {
-		for _, a := range s.analyses {
-			a.prepare()
-		}
-		s.w.Parallel(func(r *ygm.Rank) {
-			for _, a := range s.analyses {
-				a.reduceClones(r)
-			}
-		})
-		for _, a := range s.analyses {
-			a.finishClones()
-		}
+	clones := make([]Attached[VM, EM], len(s.analyses))
+	for i, a := range s.analyses {
+		clones[i] = a.clone()
 	}
+	reduceAll(s.w, clones)
 	return s.Stats()
 }

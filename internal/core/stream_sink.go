@@ -5,8 +5,8 @@ import (
 	"tripoll/internal/ygm"
 )
 
-// Stream sinks. A StreamSink is the structural counterpart of a
-// StreamAttached analysis: where an analysis folds each triangle into an
+// Stream sinks. A StreamSink is the structural counterpart of an
+// attached analysis: where an analysis folds each triangle into an
 // accumulator and forgets it, a sink *keeps* a maintained data structure
 // (an index) continuously consistent with the stream's live window. Sinks
 // see three kinds of events:
@@ -35,7 +35,7 @@ import (
 // identical index. A sink that buffers nothing still participates: the
 // collective must run in lockstep on every process of a distributed world.
 //
-// Unlike StreamAttached, this interface is exported: maintained index
+// Unlike Attached, this interface is exported: maintained index
 // structures live outside this package (see internal/truss).
 type StreamSink[VM, EM any] interface {
 	// SinkName identifies the sink in diagnostics.
@@ -79,7 +79,7 @@ type StreamSink[VM, EM any] interface {
 // seed events; durable recovery relies on this by re-seeding sinks from
 // the checkpoint snapshot before WAL replay. Must be called outside
 // parallel regions.
-func OpenStreamSinks[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses ...StreamAttached[VM, EM]) (*Stream[VM, EM], error) {
+func OpenStreamSinks[VM, EM any](g *graph.DODGr[VM, EM], opts StreamOptions[EM], plan *Plan[EM], sinks []StreamSink[VM, EM], analyses ...Attached[VM, EM]) (*Stream[VM, EM], error) {
 	return openStream(g, opts, plan, sinks, analyses)
 }
 

@@ -195,55 +195,7 @@ func (s *Survey[VM, EM]) Run() Result {
 	var prev ygm.Stats
 	s.k.run(&res, &prev)
 	res.Total = time.Since(t0)
-	if s.w.Distributed() {
-		s.reduceResult(&res)
-	}
 	return res
-}
-
-// reduceResult folds every process's Result partials into world-wide
-// totals so a multi-process run reports exactly what the equivalent
-// single-process run would. Each process leader contributes its process
-// partial to sum (or max) collectives; the other local ranks contribute
-// zero but must participate — collectives are world-wide. Durations stay
-// process-local: wall clock is machine-dependent and excluded from every
-// determinism gate.
-func (s *Survey[VM, EM]) reduceResult(res *Result) {
-	in := *res
-	var out Result
-	s.w.Parallel(func(r *ygm.Rank) {
-		lead := r.ID() == s.w.LeaderID()
-		cu := func(v uint64) uint64 {
-			if lead {
-				return v
-			}
-			return 0
-		}
-		sumI := func(v int64) int64 {
-			if !lead {
-				v = 0
-			}
-			return ygm.AllReduce(r, v, func(a, b int64) int64 { return a + b })
-		}
-		t := in
-		t.Triangles = ygm.AllReduceSum(r, cu(in.Triangles))
-		t.PullsGranted = ygm.AllReduceSum(r, cu(in.PullsGranted))
-		t.WedgeChecks = ygm.AllReduceSum(r, cu(in.WedgeChecks))
-		t.MaxRankWedgeChecks = ygm.AllReduceMax(r, cu(in.MaxRankWedgeChecks))
-		t.PrunedBatches = ygm.AllReduceSum(r, cu(in.PrunedBatches))
-		t.PrunedCandidates = ygm.AllReduceSum(r, cu(in.PrunedCandidates))
-		t.PrunedPullEntries = ygm.AllReduceSum(r, cu(in.PrunedPullEntries))
-		for _, ph := range []*PhaseStats{&t.DryRun, &t.Push, &t.Pull} {
-			ph.Bytes = sumI(ph.Bytes)
-			ph.Messages = sumI(ph.Messages)
-			ph.Batches = sumI(ph.Batches)
-		}
-		if lead {
-			out = t
-		}
-	})
-	out.deriveRatios(s.w.Size())
-	*res = out
 }
 
 // dryRun parks every ⟨p,q⟩ under q with its suffix length as the proposed

@@ -94,8 +94,8 @@ type Hooks[VM, EM any] struct {
 	Build func(w *ygm.World, name string, spec BuildSpec) (*graph.DODGr[VM, EM], error)
 	// OpenStream runs this process's side of a collective stream open
 	// (stream job) over the built graph g, mapping the policy back to the
-	// same StreamOptions/plan/analyses the driver's OpenDurableStream
-	// uses. nil rejects stream jobs.
+	// same StreamOptions and plan the driver's OpenDurableStream uses.
+	// nil rejects stream jobs.
 	OpenStream func(g *graph.DODGr[VM, EM], policy string) (*core.Stream[VM, EM], error)
 }
 

@@ -51,7 +51,7 @@ type DurableOptions struct {
 	CheckpointEvery uint64
 	// Policy names the stream configuration for the worker processes of a
 	// multi-process world (Mutator.OpenStream); the worker binary maps it
-	// back to the same StreamOptions/plan/analyses this open uses.
+	// back to the same StreamOptions and plan this open uses.
 	// Ignored without a Mutator.
 	Policy string
 }
@@ -126,8 +126,8 @@ func (d *durable[VM, EM]) close() error {
 // open) the initial edge set; it must be the same graph on every open of
 // one directory, or replay diverges. Returns the stream and its epoch.
 // Like OpenStream, collective: call outside parallel regions.
-func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, analyses ...core.StreamAttached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
-	return e.OpenDurableStreamSinks(name, seed, sopts, plan, dopts, nil, analyses...)
+func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions) (*core.Stream[VM, EM], uint64, error) {
+	return e.OpenDurableStreamSinks(name, seed, sopts, plan, dopts, nil)
 }
 
 // OpenDurableStreamSinks is OpenDurableStream with maintained sinks
@@ -136,7 +136,7 @@ func (e *Engine[VM, EM]) OpenDurableStream(name string, seed *graph.DODGr[VM, EM
 // checkpoint snapshot and then replays the surviving mutations through it
 // — the recovered index is identical to one maintained through the
 // original run.
-func (e *Engine[VM, EM]) OpenDurableStreamSinks(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, sinks []core.StreamSink[VM, EM], analyses ...core.StreamAttached[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
+func (e *Engine[VM, EM]) OpenDurableStreamSinks(name string, seed *graph.DODGr[VM, EM], sopts core.StreamOptions[EM], plan *core.Plan[EM], dopts DurableOptions, sinks []core.StreamSink[VM, EM]) (*core.Stream[VM, EM], uint64, error) {
 	if seed == nil {
 		return nil, 0, fmt.Errorf("engine: OpenDurableStream(%q): nil seed graph", name)
 	}
@@ -199,7 +199,7 @@ func (e *Engine[VM, EM]) OpenDurableStreamSinks(name string, seed *graph.DODGr[V
 			return nil, 0, fmt.Errorf("engine: stream-open broadcast for %q: %w", name, err)
 		}
 	}
-	s, err := core.OpenStreamSinks(base, sopts, plan, sinks, analyses...)
+	s, err := core.OpenStreamSinks(base, sopts, plan, sinks)
 	if err != nil {
 		log.Close()
 		return nil, 0, err

@@ -477,7 +477,7 @@ func (e *Engine[VM, EM]) SubmitAll(ctx context.Context, specs ...Spec) ([]*Job, 
 // prepare validates a spec and compiles its type-erased payload.
 func (e *Engine[VM, EM]) prepare(ctx context.Context, spec Spec) (*Job, error) {
 	if e.reg == nil {
-		return nil, errors.New("engine: no analysis registry (single-shot engines cannot Submit)")
+		return nil, errors.New("engine: no analysis registry")
 	}
 	if _, ok := e.reg.Lookup(spec.Analysis); !ok {
 		return nil, fmt.Errorf("engine: unknown analysis %q (registered: %v)", spec.Analysis, e.reg.Names())
@@ -919,8 +919,8 @@ func (e *Engine[VM, EM]) runGroup(name string, opts core.Options, jobs []*Job) {
 }
 
 // execute runs one fused traversal and accounts its traffic. This is the
-// only place the engine touches core.Run; the public Run free function is
-// a single-shot engine calling it directly (Once).
+// only place the engine touches core.Run; the public Run free function
+// calls core.Run directly, outside any engine.
 func (e *Engine[VM, EM]) execute(g *graph.DODGr[VM, EM], opts core.Options, plan *core.Plan[EM], attached []core.Attached[VM, EM]) (res core.Result, err error) {
 	if e.opts.Fanout != nil {
 		// With workers in the loop a traversal can die mid-region (a peer
@@ -942,14 +942,6 @@ func (e *Engine[VM, EM]) execute(g *graph.DODGr[VM, EM], opts core.Options, plan
 		st.TraversalBytes += res.DryRun.Bytes + res.Push.Bytes + res.Pull.Bytes
 	})
 	return res, nil
-}
-
-// Once is the single-shot engine behind the public Run wrapper: one
-// ephemeral engine, one direct traversal, no scheduler, no cache. It
-// exists so every traversal in the system flows through Engine.execute.
-func Once[VM, EM any](g *graph.DODGr[VM, EM], opts core.Options, plan *core.Plan[EM], analyses ...core.Attached[VM, EM]) (core.Result, error) {
-	e := &Engine[VM, EM]{}
-	return e.execute(g, opts, plan, analyses)
 }
 
 // snapshot returns the queryable graph, epoch and replica index for name,

@@ -427,24 +427,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestOnceMatchesCoreRun(t *testing.T) {
-	w := ygm.MustWorld(3, ygm.Options{})
-	defer w.Close()
-	g := buildTemporal(w, testEdges(80, 700, 8))
-	var a, b uint64
-	res1, err := core.Run(g, core.Options{}, nil, core.CountAnalysis[serialize.Unit, uint64]().Bind(&a))
-	if err != nil {
-		t.Fatalf("core.Run: %v", err)
-	}
-	res2, err := Once(g, core.Options{}, nil, core.CountAnalysis[serialize.Unit, uint64]().Bind(&b))
-	if err != nil {
-		t.Fatalf("Once: %v", err)
-	}
-	if a != b || res1.Triangles != res2.Triangles {
-		t.Errorf("Once count %d/%d != core.Run %d/%d", b, res2.Triangles, a, res1.Triangles)
-	}
-}
-
 func TestSpecJSONRoundTrip(t *testing.T) {
 	in := Spec{
 		Graph:    "web",

@@ -49,8 +49,9 @@
 //
 // When edges arrive as a timestamped stream, OpenStream maintains fused
 // analyses incrementally over edge batches and a sliding window, without
-// re-surveying per batch (DESIGN.md §9): see Stream, StreamAnalysis and
-// the stock Stream*Analysis constructors in stream.go.
+// re-surveying per batch (DESIGN.md §9): the same Analysis values attach
+// to OpenStream, and the invertible stock ones are maintained through
+// expiry. See Stream in stream.go.
 //
 // Services answering many (possibly concurrent) questions hold a query
 // Engine: graphs and streams register by name, clients submit
@@ -191,14 +192,6 @@ type CounterOptions = container.CounterOptions
 func NewCounter[K comparable](w *World, codec Codec[K], opts CounterOptions) *Counter[K] {
 	return container.NewCounter(w, codec, opts)
 }
-
-// Map and Bag re-export the remaining YGM-style containers for custom
-// survey pipelines.
-type (
-	Map[K comparable, V any] = container.Map[K, V]
-	Bag[T any]               = container.Bag[T]
-	Set[K comparable]        = container.Set[K]
-)
 
 // AllReduceSum and friends are the collective operations available between
 // survey phases (Alg. 2's all_reduce).
